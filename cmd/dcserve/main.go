@@ -34,6 +34,27 @@ import (
 	"repro/internal/server"
 )
 
+// Connection timeouts. A client that opens a connection and never
+// finishes its request headers would otherwise hold it forever, and so
+// would an idle keep-alive connection. There is no read or write
+// timeout: request bodies (inline datasets) and query evaluations are
+// legitimately long, and query deadlines bound evaluation already.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in an http.Server with the
+// connection timeouts set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 type listFlag []string
 
 func (l *listFlag) String() string     { return strings.Join(*l, ",") }
@@ -73,7 +94,7 @@ func mainErr() error {
 		return err
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("dcserve: listening on %s (datasets: %s)", *addr, strings.Join(srv.Registry().Names(), ", "))

@@ -10,6 +10,14 @@
 // single-consumer rings, coordinated by the paper's Dynamic
 // Weight-based Strategy (default) or the Global/SSP baselines.
 //
+// The probe path tunes itself and has no options: anti-join probes are
+// always Bloom-guarded, join probes are guarded once a 512-probe
+// warm-up shows mostly misses, and joins on base indexes of at least
+// 2^19 rows run through a group-prefetched pipeline. The ablation
+// options cover the paper's own mechanisms (WithoutExistCache,
+// WithoutIndexAgg, WithoutPartialAgg) and work stealing
+// (WithoutStealing).
+//
 // Quick start:
 //
 //	db := dcdatalog.NewDatabase()
@@ -543,32 +551,6 @@ func WithoutPartialAgg() Option {
 // multiple workers lose their load balancing).
 func WithoutStealing() Option {
 	return func(c *config, _ *Database) error { c.opts.StealOff = true; return nil }
-}
-
-// BloomMode selects when join probes consult the Bloom guards built
-// beside the base hash indexes: BloomAuto (default — anti-joins
-// always, joins adaptively on low hit rates), BloomOff, BloomForce.
-type BloomMode = engine.BloomMode
-
-// Re-exported Bloom-guard policies.
-const (
-	BloomAuto  = engine.BloomAuto
-	BloomOff   = engine.BloomOff
-	BloomForce = engine.BloomForce
-)
-
-// WithBloomGuards sets the Bloom-guard policy for join and anti-join
-// probes (ablation and differential testing; the default BloomAuto is
-// right for production).
-func WithBloomGuards(m BloomMode) Option {
-	return func(c *config, _ *Database) error { c.opts.Bloom = m; return nil }
-}
-
-// WithProbeGroup sets G, the number of independent probe chains each
-// worker keeps in flight in the staged join pipeline (0 = default 16,
-// 1 = serial probes, clamped at 32).
-func WithProbeGroup(g int) Option {
-	return func(c *config, _ *Database) error { c.opts.ProbeGroup = g; return nil }
 }
 
 // WithBroadcastReplication forces broadcast replication of recursive

@@ -10,40 +10,31 @@ import (
 // memory-level probe machinery behaved: the tag lane's reject rate
 // (directory walks cut short by the 1-byte tag), the audited-bucket
 // key-skip rate (full-key compares eliminated after the first verified
-// row), and the Bloom guard's skip rate. Each query runs twice — under
-// the default adaptive guards and with the guards forced on — because
-// the adaptive policy deliberately keeps the filters out of high-hit
-// recursive probe streams, so the forced column shows the filter
-// quality while the auto column shows the policy's restraint.
+// row), and the Bloom guard's skip rate. Anti-joins are always guarded
+// and positive join probes only once their warm-up shows a low hit
+// rate, so the recursive tracking queries mostly report no checks.
 func ProbeReport(cfg Config) *Table {
 	cfg = cfg.withDefaults()
 	t := &Table{
 		Title: "Probe path: tag rejects, audited key skips, Bloom guards (tracking suite)",
-		Header: []string{"Query", "Dataset", "Mode", "Time",
+		Header: []string{"Query", "Dataset", "Time",
 			"TagReject", "KeySkip", "BloomSkip", "BloomChecks"},
 		Notes: []string{
 			"TagReject = tag-lane mismatches / occupied slots inspected",
 			"KeySkip = full-key compares eliminated by the single-key bucket audit",
 			"BloomSkip = guarded probes answered by the filter without touching the directory",
-			"auto guards anti-joins and demoted low-hit-rate probe streams; force guards every probe",
+			"anti-joins are always guarded; join probes only after a miss-heavy 512-probe warm-up",
 		},
 	}
-	modes := []struct {
-		name string
-		mode dcdatalog.BloomMode
-	}{{"auto", dcdatalog.BloomAuto}, {"force", dcdatalog.BloomForce}}
 	for _, j := range trackingJobs(cfg) {
-		for _, mo := range modes {
-			m := run(j.ds, j.query.Source, j.query.Output,
-				dcdatalog.WithWorkers(cfg.Workers), dcdatalog.WithBloomGuards(mo.mode))
-			t.Rows = append(t.Rows, []string{
-				j.query.Name, j.dsName, mo.name, cell(m.seconds, m.note),
-				pct(m.probe.TagRejectRate()),
-				pct(m.probe.KeySkipRate()),
-				pct(m.probe.BloomSkipRate()),
-				fmt.Sprint(m.probe.BloomChecks),
-			})
-		}
+		m := run(j.ds, j.query.Source, j.query.Output, dcdatalog.WithWorkers(cfg.Workers))
+		t.Rows = append(t.Rows, []string{
+			j.query.Name, j.dsName, cell(m.seconds, m.note),
+			pct(m.probe.TagRejectRate()),
+			pct(m.probe.KeySkipRate()),
+			pct(m.probe.BloomSkipRate()),
+			fmt.Sprint(m.probe.BloomChecks),
+		})
 	}
 	return t
 }

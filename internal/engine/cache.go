@@ -1,11 +1,6 @@
 package engine
 
-import (
-	"unsafe"
-
-	"repro/internal/prefetch"
-	"repro/internal/storage"
-)
+import "repro/internal/storage"
 
 // existCache is the constant-time existence-check cache of paper
 // §6.2.2: a direct-mapped array of (group-key, aggregate) pairs sitting
@@ -166,27 +161,8 @@ type incCursor struct {
 
 // seek positions a cursor on the chain for key (most recent first).
 func (ix *incIndex) seek(key []storage.Value) incCursor {
-	return ix.seekHash(storage.HashValues(key))
-}
-
-// seekHash is seek for callers that already hold the key hash — the
-// staged pipeline hashes a probe group ahead of the walk and resolves
-// the chain heads here without touching the key again.
-func (ix *incIndex) seekHash(h uint64) incCursor {
+	h := storage.HashValues(key)
 	return incCursor{ix: ix, i: ix.head[h&ix.mask], h: h}
-}
-
-// prefetchHead hints the chain-head word a seekHash(h) will load.
-func (ix *incIndex) prefetchHead(h uint64) {
-	prefetch.T0(unsafe.Pointer(&ix.head[h&ix.mask]))
-}
-
-// prefetchEntry hints a resolved chain entry's tag/hash lane lines.
-func (ix *incIndex) prefetchEntry(i int32) {
-	if i >= 0 {
-		prefetch.T0(unsafe.Pointer(&ix.ktag[i]))
-		prefetch.T0(unsafe.Pointer(&ix.khash[i]))
-	}
 }
 
 // next returns the next tuple whose key columns equal key, advancing the

@@ -81,11 +81,11 @@ type kframe struct {
 	// directory walk, key compare and Bloom consultation below charges
 	// it (plain int64s, single writer).
 	pc *storage.ProbeCounters
-	// bloom is the frame's guard state (see bloomState). BloomAuto join
-	// frames start in bloomWarm, counting probes/hits until the warmup
-	// window closes; the decision then freezes into bloomGuard or
-	// bloomPass so the steady-state probe carries one byte compare of
-	// bookkeeping instead of two counters and a ratio.
+	// bloom is the frame's guard state (see bloomState). Join frames
+	// start in bloomWarm, counting probes/hits until the warmup window
+	// closes; the decision then freezes into bloomGuard or bloomPass so
+	// the steady-state probe carries one byte compare of bookkeeping
+	// instead of two counters and a ratio.
 	bloom       bloomState
 	bloomProbes int32
 	bloomHits   int32
@@ -111,15 +111,14 @@ type kframe struct {
 type bloomState uint8
 
 const (
-	// bloomPass walks the directory unguarded (BloomOff, or a warmed-up
-	// BloomAuto frame whose probes mostly hit).
+	// bloomPass walks the directory unguarded (a warmed-up join frame
+	// whose probes mostly hit).
 	bloomPass bloomState = iota
 	// bloomGuard consults the index's Bloom filter before every walk
-	// (BloomForce; anti-joins under BloomAuto; warmed-up miss-heavy
-	// BloomAuto join frames).
+	// (anti-joins always; warmed-up miss-heavy join frames).
 	bloomGuard
 	// bloomWarm counts probes and hits until the warmup window closes,
-	// then freezes into bloomGuard or bloomPass (BloomAuto join frames).
+	// then freezes into bloomGuard or bloomPass (join frames).
 	bloomWarm
 )
 
@@ -127,6 +126,36 @@ const (
 // its guard decision: guard only if fewer than 1/4 of the warmup
 // probes hit.
 const bloomWarmup = 512
+
+// probeRange resolves a base-lookup join frame's bucket for key hash h
+// through the frame's guard state: a guarded frame consults the Bloom
+// filter first (an empty range on a reject), a warming frame counts the
+// probe and its hit. Both the serial walk (enterJoin) and the staged
+// pipeline's stage 2 go through here.
+func (f *kframe) probeRange(h uint64) (pos, end int) {
+	idx := f.baseIdx
+	switch f.bloom {
+	case bloomGuard:
+		f.pc.BloomChecks++
+		if !idx.MayContain(h) {
+			f.pc.BloomSkips++
+			return 0, 0
+		}
+		return idx.ProbeRange(h, f.pc)
+	case bloomWarm:
+		pos, end = idx.ProbeRange(h, f.pc)
+		f.bloomProbes++
+		if pos < end {
+			f.bloomHits++
+		}
+		if f.bloomProbes >= bloomWarmup {
+			f.decideBloom()
+		}
+		return pos, end
+	default: // bloomPass: steady state, no guard bookkeeping
+		return idx.ProbeRange(h, f.pc)
+	}
+}
 
 // decideBloom closes a frame's warmup window.
 func (f *kframe) decideBloom() {
@@ -137,21 +166,16 @@ func (f *kframe) decideBloom() {
 	}
 }
 
-// initBloom derives the frame's starting guard state from the run
-// policy. Anti-join existence probes are guarded whenever guards are
-// allowed at all — absence is the answer negation is looking for.
-func (f *kframe) initBloom(mode BloomMode) {
-	switch mode {
-	case BloomOff:
-		f.bloom = bloomPass
-	case BloomForce:
+// initBloom sets the frame's starting guard state. Anti-join existence
+// probes are always guarded — absence is the answer negation is looking
+// for, and the filter proves it without touching the directory. Join
+// frames warm up and then freeze (decideBloom), so high-hit-rate
+// recursive probe streams never pay the extra block load.
+func (f *kframe) initBloom() {
+	if f.kind == physical.OpNeg {
 		f.bloom = bloomGuard
-	default:
-		if f.kind == physical.OpNeg {
-			f.bloom = bloomGuard
-		} else {
-			f.bloom = bloomWarm
-		}
+	} else {
+		f.bloom = bloomWarm
 	}
 }
 
@@ -165,13 +189,12 @@ type kernel struct {
 	last       int
 	outer      *physical.Access
 	outerTypes []storage.Type
-	// pf is the frame index of the rule's first join when that join is
-	// lookup-shaped (base hash index or incremental index) and every
-	// frame before it is a pure filter (cond/let) — the shape the
+	// pf is the frame index of the rule's first join when that join
+	// probes a base hash index of at least pipelineMinRows rows and
+	// every frame before it is a pure filter (cond/let) — the shape the
 	// staged probe pipeline can hash and prefetch a group ahead
 	// (pipeline.go). -1 when the rule doesn't pipeline.
-	pf    int
-	pfSrc probeSrc
+	pf int
 }
 
 // kernelHook, when non-nil, observes the probe sources of every
@@ -201,7 +224,7 @@ func (w *worker) newKernel(r *physical.Rule) *kernel {
 		f.kind = op.Kind
 		f.prevJoin = r.PrevJoin[i]
 		f.pc = &w.pc
-		f.initBloom(w.run.opts.Bloom)
+		f.initBloom()
 		switch op.Kind {
 		case physical.OpCond:
 			f.cmp, f.l, f.r = op.Cmp, op.L, op.R
@@ -255,7 +278,8 @@ func (w *worker) newKernel(r *physical.Rule) *kernel {
 		}
 	}
 	// Locate the pipeline frame: the first join, provided nothing but
-	// pure filters precede it and its cursor is lookup-shaped. OpNeg
+	// pure filters precede it and it probes a base hash index past the
+	// size gate (Options.stageAlways drops the gate for tests). OpNeg
 	// before the first join blocks pipelining (its existence probe is a
 	// side walk the stages don't model).
 	for i := range k.frames {
@@ -263,9 +287,9 @@ func (w *worker) newKernel(r *physical.Rule) *kernel {
 		if f.kind == physical.OpCond || f.kind == physical.OpLet {
 			continue
 		}
-		if f.kind == physical.OpJoin &&
-			((f.src == srcBaseLookup && f.baseIdx != nil) || f.src == srcIncLookup) {
-			k.pf, k.pfSrc = i, f.src
+		if f.kind == physical.OpJoin && f.src == srcBaseLookup && f.baseIdx != nil &&
+			(f.baseIdx.Len() >= pipelineMinRows || w.run.opts.stageAlways) {
+			k.pf = i
 		}
 		break
 	}
@@ -379,29 +403,8 @@ func (f *kframe) enterJoin(slots []storage.Value) bool {
 		if idx == nil {
 			return false
 		}
-		h := storage.HashValues(key)
 		f.keyOK = false
-		switch f.bloom {
-		case bloomGuard:
-			f.pc.BloomChecks++
-			if !idx.MayContain(h) {
-				f.pc.BloomSkips++
-				f.pos, f.end = 0, 0
-				return false
-			}
-			f.pos, f.end = idx.ProbeRange(h, f.pc)
-		case bloomWarm:
-			f.pos, f.end = idx.ProbeRange(h, f.pc)
-			f.bloomProbes++
-			if f.pos < f.end {
-				f.bloomHits++
-			}
-			if f.bloomProbes >= bloomWarmup {
-				f.decideBloom()
-			}
-		default: // bloomPass: steady state, no guard bookkeeping
-			f.pos, f.end = idx.ProbeRange(h, f.pc)
-		}
+		f.pos, f.end = f.probeRange(storage.HashValues(key))
 	case srcBaseScan:
 		f.pos, f.end = 0, len(f.scanRows)
 	case srcSetScan:

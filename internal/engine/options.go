@@ -8,28 +8,6 @@ import (
 	"repro/internal/storage"
 )
 
-// BloomMode selects when join probes consult the per-index Bloom
-// guards built alongside the base hash indexes.
-type BloomMode uint8
-
-const (
-	// BloomAuto (the default) always guards anti-join existence probes
-	// — a negative answer proves absence, which is exactly the common
-	// case negation is checking — and guards positive join probes
-	// adaptively: a frame walks its first bloomWarmup probes unguarded
-	// while counting hits, then freezes the decision — guard from then
-	// on if fewer than a quarter hit, otherwise never guard (and pay no
-	// further bookkeeping). High-hit-rate joins (the recursive tracking
-	// queries) never pay the extra block load.
-	BloomAuto BloomMode = iota
-	// BloomOff never consults the guards (ablation / differential
-	// testing).
-	BloomOff
-	// BloomForce consults the guard on every lookup-shaped probe,
-	// hit-rate regardless (ablation / differential testing).
-	BloomForce
-)
-
 // Options configures a parallel evaluation run.
 type Options struct {
 	// Workers is the number of parallel workers (goroutines); 0 uses
@@ -79,33 +57,16 @@ type Options struct {
 	// generated delta rules guard on a view's live fixpoint without
 	// snapshotting or indexing it per refresh.
 	Probers map[string]MembershipProber
-	// Bloom selects the Bloom-guard policy for join and anti-join
-	// probes (see BloomMode).
-	Bloom BloomMode
-	// ProbeGroup is G, the number of independent probe chains each
-	// worker keeps in flight in the staged join pipeline: probes are
-	// hashed and their directory lines prefetched a group ahead of the
-	// walk. 0 uses the default (16); 1 disables the pipeline; values
-	// above 32 are clamped (the stage buffer is fixed-size so the
-	// steady state stays allocation-free).
-	//
-	// When left at 0, the pipeline additionally gates itself per block
-	// on the probed structure's size (pipelineMinRows): staging and
-	// prefetching only pay when the directory outsizes the cache, so
-	// small cache-resident indexes take the serial walk. Setting
-	// ProbeGroup explicitly pins the pipeline on regardless of index
-	// size (benchmarks, tests).
-	ProbeGroup int
-
 	// StealOff disables morsel-driven work stealing: each worker
 	// evaluates only its own gathered delta, as before PR8 (ablation /
 	// differential testing). Stealing is also implicitly off at one
 	// worker, where there is no peer to steal from.
 	StealOff bool
 
-	// probeGroupPinned records that ProbeGroup was set by the caller
-	// rather than defaulted; withDefaults derives it.
-	probeGroupPinned bool
+	// stageAlways drops the staged probe pipeline's size gate
+	// (pipelineMinRows) so small test inputs exercise the staged path.
+	// Unexported: only this package's tests set it.
+	stageAlways bool
 }
 
 // withDefaults fills unset fields.
@@ -127,14 +88,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Epsilon == 0 {
 		o.Epsilon = 1e-9
-	}
-	if o.ProbeGroup <= 0 {
-		o.ProbeGroup = 16
-	} else {
-		o.probeGroupPinned = true
-	}
-	if o.ProbeGroup > maxProbeGroup {
-		o.ProbeGroup = maxProbeGroup
 	}
 	return o
 }

@@ -12,21 +12,22 @@ import (
 // subsystem can serve many misses concurrently; a serial probe loop
 // never asks it to.
 //
-// execBlock restructures the delta-block loop so G independent probe
-// chains are in flight at once, in three stages over each group of G
-// driving tuples:
+// execBlock restructures the delta-block loop so G (probeGroup)
+// independent probe chains are in flight at once, in three stages over
+// each group of G driving tuples:
 //
 //	stage 1  bind + filter + hash every tuple's probe key, and issue a
 //	         prefetch for the directory line the hash selects;
 //	stage 2  resolve every cursor against the (by now resident)
-//	         directory — Bloom guard first when enabled — and issue a
-//	         prefetch for the first arena row / chain entry;
+//	         directory — Bloom guard first when the frame guards — and
+//	         issue a prefetch for the first arena row;
 //	stage 3  run each member's full frame walk from its pre-resolved
 //	         cursor.
 //
-// Only the rule's first join is staged — it is the probe the delta
-// drives directly and by far the hottest; deeper joins run inside
-// stage 3's walk as before. Correctness notes:
+// Only the rule's first join is staged, and only when it probes a base
+// hash index — it is the probe the delta drives directly and by far the
+// hottest; deeper joins, and first joins on a recursive replica's
+// incremental index, run the serial walk. Correctness notes:
 //
 //   - Stages 1–2 keep no per-member slot state: later group members
 //     clobber the kernel's shared slot array and key scratch, so stage
@@ -36,56 +37,34 @@ import (
 //     scratch.
 //   - Cursors resolved in stage 2 stay valid across the merges stage 3
 //     may trigger (self-drains / batch flushes between members): base
-//     hash indexes are immutable, and an incIndex append/grow rewrites
-//     chain links without dropping any entry reachable from a live
-//     cursor position. A tuple merged after a member's cursor was
-//     resolved is simply not seen by that member — it entered the
-//     replica as a delta and semi-naive evaluation re-derives through
-//     it when that delta is processed.
-//   - The stage buffer is a fixed worker-owned array (maxProbeGroup),
-//     so the steady state allocates nothing.
+//     hash indexes are immutable.
+//   - The stage buffer is a fixed worker-owned array (probeGroup), so
+//     the steady state allocates nothing.
 type probeStage struct {
 	t        storage.Tuple
 	h        uint64
 	pos, end int
-	inc      incCursor
 	skip     bool
 }
 
-// maxProbeGroup bounds Options.ProbeGroup; the per-worker stage buffer
-// is this fixed size. 32 chains already exceed what one core's miss
-// queue sustains, so larger groups only cool the prefetched lines.
-const maxProbeGroup = 32
+// probeGroup is G, the number of probe chains each worker keeps in
+// flight; the per-worker stage buffer is this fixed size.
+const probeGroup = 16
 
-// pipelineMinRows is the adaptive gate for a defaulted ProbeGroup: the
-// staged pipeline engages only when the probed structure holds at
-// least this many rows. While the directory, tag lane and arena sit in
-// the cache hierarchy, every prefetch is a no-op the core still has to
-// issue and the double bind (stages 1 and 3 both run prepare) is pure
-// overhead — measured 5-20% slower than the serial walk on LLC-resident
-// indexes. At 512K rows the slots, tags and arena together pass ~25MB,
-// past the last-level cache of typical server parts, and the probe
-// stream becomes the DRAM-latency-bound chain of dependent misses the
-// pipeline exists to overlap. The gate errs toward serial: staging a
-// cached index costs real time, while walking an oversized one serially
-// only forfeits overlap. An explicit Options.ProbeGroup bypasses the
-// gate (benchmarks, tests, hosts with small caches).
+// pipelineMinRows is the pipeline's adaptive gate: a rule stages only
+// when its first join's base index holds at least this many rows (base
+// indexes are immutable, so newKernel decides once). While the
+// directory, tag lane and arena sit in the cache hierarchy, every
+// prefetch is a no-op the core still has to issue and the double bind
+// (stages 1 and 3 both run prepare) is pure overhead — measured 5-20%
+// slower than the serial walk on LLC-resident indexes. At 512K rows the
+// slots, tags and arena together pass ~25MB, past the last-level cache
+// of typical server parts, and the probe stream becomes the
+// DRAM-latency-bound chain of dependent misses the pipeline exists to
+// overlap. The gate errs toward serial: staging a cached index costs
+// real time, while walking an oversized one serially only forfeits
+// overlap.
 const pipelineMinRows = 1 << 19
-
-// probeHot reports whether the kernel's pipeline frame currently
-// probes a structure large enough to be worth staging (or the run
-// pinned the pipeline on). Incremental indexes grow during evaluation,
-// so the answer is re-checked per block.
-func (w *worker) probeHot(k *kernel) bool {
-	if w.run.opts.probeGroupPinned {
-		return true
-	}
-	pf := &k.frames[k.pf]
-	if k.pfSrc == srcBaseLookup {
-		return pf.baseIdx.Len() >= pipelineMinRows
-	}
-	return len(pf.rep.incIdx[pf.acc.LookupIdx].ids) >= pipelineMinRows
-}
 
 // prepare binds the driving tuple and runs the frames ahead of the
 // pipeline join — pure filters (conds) and lets — then builds that
@@ -129,12 +108,12 @@ func (w *worker) drainChecks() {
 }
 
 // execBlock drives a block of delta tuples through one kernel. Rules
-// whose first join is lookup-shaped go through the staged pipeline;
-// everything else (scan-outer rules, aggregate probes, G=1) falls back
-// to the serial per-tuple loop.
+// whose first join probes a large base hash index go through the
+// staged pipeline; everything else (scan-outer rules, incremental-index
+// and aggregate probes, cache-resident indexes) takes the serial
+// per-tuple loop.
 func (w *worker) execBlock(k *kernel, block []storage.Tuple) {
-	g := w.probeGroup
-	if k.pf < 0 || g <= 1 || !w.probeHot(k) {
+	if k.pf < 0 {
 		for _, t := range block {
 			if k.bindOuter(t) {
 				w.exec(k)
@@ -144,86 +123,37 @@ func (w *worker) execBlock(k *kernel, block []storage.Tuple) {
 		return
 	}
 	pf := &k.frames[k.pf]
-	for lo := 0; lo < len(block); lo += g {
-		hi := lo + g
-		if hi > len(block) {
-			hi = len(block)
-		}
+	idx := pf.baseIdx
+	for lo := 0; lo < len(block); lo += probeGroup {
+		hi := min(lo+probeGroup, len(block))
 		// Stage 1: hash the group's probe keys, prefetch directory
 		// lines. Members failing the outer bind or a pre-join cond
 		// drop out here.
 		ns := 0
-		if k.pfSrc == srcBaseLookup {
-			idx := pf.baseIdx
-			for _, t := range block[lo:hi] {
-				if !k.prepare(t) {
-					continue
-				}
-				st := &w.stages[ns]
-				ns++
-				st.t = t
-				st.h = storage.HashValues(pf.key)
-				st.skip = false
-				idx.PrefetchBucket(st.h)
+		for _, t := range block[lo:hi] {
+			if !k.prepare(t) {
+				continue
 			}
-		} else {
-			ix := pf.rep.incIdx[pf.acc.LookupIdx]
-			for _, t := range block[lo:hi] {
-				if !k.prepare(t) {
-					continue
-				}
-				st := &w.stages[ns]
-				ns++
-				st.t = t
-				st.h = storage.HashValues(pf.key)
-				st.skip = false
-				ix.prefetchHead(st.h)
-			}
+			st := &w.stages[ns]
+			ns++
+			st.t = t
+			st.h = storage.HashValues(pf.key)
+			st.skip = false
+			idx.PrefetchBucket(st.h)
 		}
 		// Stage 2: resolve cursors against the prefetched directory,
 		// prefetch the first row each walk will read. Empty buckets and
 		// Bloom-rejected probes drop out (the pipeline frame is the
 		// rule's first join, so an empty cursor means the member derives
 		// nothing).
-		if k.pfSrc == srcBaseLookup {
-			idx := pf.baseIdx
-			for i := 0; i < ns; i++ {
-				st := &w.stages[i]
-				if pf.bloom == bloomGuard {
-					pf.pc.BloomChecks++
-					if !idx.MayContain(st.h) {
-						pf.pc.BloomSkips++
-						st.skip = true
-						continue
-					}
-				}
-				st.pos, st.end = idx.ProbeRange(st.h, pf.pc)
-				if pf.bloom == bloomWarm {
-					pf.bloomProbes++
-					if st.pos < st.end {
-						pf.bloomHits++
-					}
-					if pf.bloomProbes >= bloomWarmup {
-						pf.decideBloom()
-					}
-				}
-				if st.pos >= st.end {
-					st.skip = true
-					continue
-				}
-				idx.PrefetchRow(st.pos)
+		for i := 0; i < ns; i++ {
+			st := &w.stages[i]
+			st.pos, st.end = pf.probeRange(st.h)
+			if st.pos >= st.end {
+				st.skip = true
+				continue
 			}
-		} else {
-			ix := pf.rep.incIdx[pf.acc.LookupIdx]
-			for i := 0; i < ns; i++ {
-				st := &w.stages[i]
-				st.inc = ix.seekHash(st.h)
-				if st.inc.i < 0 {
-					st.skip = true
-					continue
-				}
-				ix.prefetchEntry(st.inc.i)
-			}
+			idx.PrefetchRow(st.pos)
 		}
 		// Stage 3: re-prepare each surviving member (the group clobbered
 		// the shared scratch) and run its frame walk from the resolved
@@ -234,12 +164,8 @@ func (w *worker) execBlock(k *kernel, block []storage.Tuple) {
 				continue
 			}
 			k.prepare(st.t)
-			if k.pfSrc == srcBaseLookup {
-				pf.pos, pf.end = st.pos, st.end
-				pf.keyOK = false
-			} else {
-				pf.inc = st.inc
-			}
+			pf.pos, pf.end = st.pos, st.end
+			pf.keyOK = false
 			w.execLoop(k, k.pf, false)
 			w.drainChecks()
 		}

@@ -6,14 +6,17 @@ import (
 	"testing"
 
 	"repro/internal/coord"
+	"repro/internal/physical"
 	"repro/internal/storage"
 )
 
 // Tests for the staged probe pipeline, the tag/audit counters and the
-// Bloom guards. The existing differential and kernel-coverage suites
-// already run with the pipeline on (ProbeGroup defaults to 16), so the
-// focus here is the knobs: group-size sweeps, Bloom on/off, and the
-// counter surfaces.
+// Bloom guards. The pipeline only stages rules whose first join probes
+// a base index of at least pipelineMinRows (2^19) rows, so the
+// differential and kernel-coverage suites — all on small inputs — run
+// the serial walk.
+// The staged path is reached here through Options.stageAlways, which
+// drops the size gate.
 
 // fanoutEDB builds a rooted tree with fixed fanout: every internal
 // node's bucket in the arc-by-source index holds exactly `fanout` rows,
@@ -36,82 +39,101 @@ func fanoutEDB(depth, fanout int) map[string][]storage.Tuple {
 	return map[string][]storage.Tuple{"arc": pairs(es)}
 }
 
-// TestPipelineGroupSweepIdentical runs TC and SG across probe group
-// sizes (1 = serial fallback) and strategies; every configuration must
-// produce the same fixpoint as the serial baseline.
-func TestPipelineGroupSweepIdentical(t *testing.T) {
-	progs := map[string]string{
-		"tc": `tc(X, Y) :- arc(X, Y).
-			tc(X, Z) :- tc(X, Y), arc(Y, Z).`,
-		"sg": `sg(X, Y) :- arc(P, X), arc(P, Y), X != Y.
-			sg(X, Y) :- arc(A, X), sg(A, B), arc(B, Y).`,
-	}
-	rng := rand.New(rand.NewSource(41))
-	edb := map[string][]storage.Tuple{"arc": pairs(randGraph(rng, 60, 150))}
-	for name, src := range progs {
-		prog := compileSrc(t, src, arcSchemas(), nil)
-		for _, workers := range []int{1, 4} {
-			var want []string
-			for _, g := range []int{1, 2, 4, 8, 16, 32} {
-				res, err := Run(prog, edb, Options{
-					Workers: workers, Strategy: coord.DWS, ProbeGroup: g})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := sortedRows(res.Relations[name])
-				if want == nil {
-					want = got
-					continue
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s w=%d G=%d: %d tuples, want %d", name, workers, g, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s w=%d G=%d row %d: %s vs %s", name, workers, g, i, got[i], want[i])
-					}
-				}
+// stagedSerialConfigs is the staged-vs-serial matrix: 1 and 4 workers
+// under every strategy, each once with the size gate in force (the
+// small inputs below take the serial walk) and once with it dropped.
+func stagedSerialConfigs() []Options {
+	var out []Options
+	for _, k := range []coord.Kind{coord.Global, coord.SSP, coord.DWS} {
+		for _, w := range []int{1, 4} {
+			for _, staged := range []bool{false, true} {
+				out = append(out, Options{Workers: w, Strategy: k, BatchSize: 8, stageAlways: staged})
 			}
+		}
+	}
+	return out
+}
+
+// TestPipelineStagedMatchesNaive drives TC, SG and a weighted
+// SSSP-shaped program through the staged pipeline and the serial walk,
+// under every strategy at 1 and 4 workers; both must agree with the
+// independent naive oracle.
+func TestPipelineStagedMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	arcEDB := map[string][]storage.Tuple{"arc": pairs(randGraph(rng, 60, 150))}
+	var wedges [][3]int64
+	for i := 0; i < 200; i++ {
+		wedges = append(wedges, [3]int64{rng.Int63n(50), rng.Int63n(50), 1 + rng.Int63n(20)})
+	}
+	cases := []struct {
+		name, src, out string
+		schemas        map[string]*storage.Schema
+		edb            map[string][]storage.Tuple
+		params         map[string]physical.Param
+	}{
+		{"tc", tcSrc, "tc", arcSchemas(), arcEDB, nil},
+		{"sg", `sg(X, Y) :- arc(P, X), arc(P, Y), X != Y.
+			sg(X, Y) :- arc(A, X), sg(A, B), arc(B, Y).`, "sg", arcSchemas(), arcEDB, nil},
+		{"sssp", ssspSrc, "sp", warcSchemas(), map[string][]storage.Tuple{"warc": triples(wedges)},
+			map[string]physical.Param{"start": {Value: storage.IntVal(wedges[0][0]), Type: storage.TInt}}},
+	}
+	for _, c := range cases {
+		// One oracle run per program; runBoth's own engine result is
+		// not needed.
+		_, want := runBoth(t, c.src, c.schemas, c.edb, c.params, Options{Workers: 1})
+		prog := compileSrc(t, c.src, c.schemas, c.params)
+		for _, o := range stagedSerialConfigs() {
+			res, err := Run(prog, c.edb, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/%s/staged=%v", c.name, cfgName(o), o.stageAlways)
+			assertSameRelation(t, name, res.Relations[c.out], want[c.out])
 		}
 	}
 }
 
-// TestBloomModesIdentical forces the Bloom guards fully on and fully
-// off across strategies on a negation-bearing program (anti-joins are
-// the guard's primary consumer) and requires identical results.
-func TestBloomModesIdentical(t *testing.T) {
-	src := `
+// TestBloomGuardsMatchNaive checks the one guard policy against the
+// naive oracle across strategies: anti-join probes (always guarded) on
+// a negation-bearing program, and a miss-heavy positive join whose
+// frames freeze into the guarded state after their warm-up window.
+func TestBloomGuardsMatchNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	negSrc := `
 		sg(X, Y) :- arc(P, X), arc(P, Y), X != Y.
 		sg(X, Y) :- arc(A, X), sg(A, B), arc(B, Y).
 		node(X) :- arc(_, X).
 		nosib(X) :- node(X), !sg(X, X).
 	`
-	prog := compileSrc(t, src, arcSchemas(), nil)
-	rng := rand.New(rand.NewSource(43))
-	edb := map[string][]storage.Tuple{"arc": pairs(randGraph(rng, 30, 60))}
-	for _, o := range diffConfigs() {
-		var want map[string][]string
-		for _, mode := range []BloomMode{BloomOff, BloomAuto, BloomForce} {
-			o.Bloom = mode
-			res, err := Run(prog, edb, o)
+	negEDB := map[string][]storage.Tuple{"arc": pairs(randGraph(rng, 30, 60))}
+	// Reciprocal edges are rare in a sparse random graph, so the
+	// arc(Y, X) probe stream is miss-heavy.
+	joinSrc := `mutual(X, Y) :- arc(X, Y), arc(Y, X).`
+	joinEDB := map[string][]storage.Tuple{"arc": pairs(randGraph(rng, 400, 2000))}
+	for _, c := range []struct {
+		src  string
+		edb  map[string][]storage.Tuple
+		rels []string
+	}{{negSrc, negEDB, []string{"sg", "nosib"}}, {joinSrc, joinEDB, []string{"mutual"}}} {
+		// One oracle run per program; runBoth's own engine result is
+		// not needed.
+		_, want := runBoth(t, c.src, arcSchemas(), c.edb, nil, Options{Workers: 1})
+		prog := compileSrc(t, c.src, arcSchemas(), nil)
+		for _, o := range diffConfigs() {
+			res, err := Run(prog, c.edb, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := map[string][]string{}
-			for _, rel := range []string{"sg", "nosib"} {
-				got[rel] = sortedRows(res.Relations[rel])
-			}
-			if want == nil {
-				want = got
-				continue
-			}
-			for rel := range want {
-				if fmt.Sprint(got[rel]) != fmt.Sprint(want[rel]) {
-					t.Fatalf("%s mode=%d: %d tuples vs %d under BloomOff",
-						rel, mode, len(got[rel]), len(want[rel]))
-				}
+			for _, rel := range c.rels {
+				assertSameRelation(t, rel+"/"+cfgName(o), res.Relations[rel], want[rel])
 			}
 		}
+	}
+	// One worker sees all 2000 probes in one frame, well past the
+	// 512-probe warm-up: the frame must have frozen into the guard.
+	res := runSrc(t, joinSrc, arcSchemas(), joinEDB, nil, Options{Workers: 1})
+	if pc := res.Stats.Probe; pc.BloomChecks == 0 || pc.BloomSkips == 0 {
+		t.Fatalf("miss-heavy join frame never froze into the guard: %+v", pc)
 	}
 }
 
@@ -152,19 +174,21 @@ func TestProbeCountersSurface(t *testing.T) {
 		t.Fatalf("stratum probe counters %+v do not sum to run total %+v", sum, pc)
 	}
 
-	// Forced Bloom on the same run must register checks.
-	res, err = Run(prog, edb, Options{Workers: 2, Strategy: coord.DWS, Bloom: BloomForce})
+	// An anti-join over the same input is always guarded, so it must
+	// register checks.
+	neg := compileSrc(t, tcSrc+`sink(X) :- arc(X, _), !arc(X, X).`, arcSchemas(), nil)
+	res, err = Run(neg, edb, Options{Workers: 2, Strategy: coord.DWS})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Probe.BloomChecks == 0 {
-		t.Fatalf("BloomForce run recorded no bloom checks: %+v", res.Stats.Probe)
+		t.Fatalf("guarded anti-join recorded no bloom checks: %+v", res.Stats.Probe)
 	}
 }
 
 // TestBloomGuardSkipsAntiJoinMisses drives a negation whose probes
 // mostly miss and checks the guard actually skips directory walks
-// under BloomAuto (anti-joins are always guarded).
+// (anti-joins are always guarded).
 func TestBloomGuardSkipsAntiJoinMisses(t *testing.T) {
 	src := `
 		node(X) :- arc(X, _).
@@ -190,8 +214,8 @@ func TestBloomGuardSkipsAntiJoinMisses(t *testing.T) {
 
 // TestPipelineAllocsSteadyState extends the kernel allocation guard to
 // the staged pipeline: the marginal allocation cost per derived tuple
-// must stay ~0 for serial, default and maximum group sizes (the stage
-// buffer is fixed worker scratch, so G must not change the answer).
+// must stay ~0 on the serial walk and on the staged path (the stage
+// buffer is fixed worker scratch).
 func TestPipelineAllocsSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow")
@@ -200,8 +224,8 @@ func TestPipelineAllocsSteadyState(t *testing.T) {
 	tc(X, Z) :- tc(X, Y), edge(Y, Z).`
 	schemas := map[string]*storage.Schema{"edge": intSchema("edge", "x", "y")}
 	prog := compileSrc(t, src, schemas, nil)
-	for _, g := range []int{1, 16, 32} {
-		opts := Options{Workers: 1, Strategy: coord.DWS, ProbeGroup: g}
+	for _, staged := range []bool{false, true} {
+		opts := Options{Workers: 1, Strategy: coord.DWS, stageAlways: staged}
 		measure := func(n int64) (float64, int) {
 			edb := tcAllocsEDB(n)
 			res, err := Run(prog, edb, opts)
@@ -219,58 +243,30 @@ func TestPipelineAllocsSteadyState(t *testing.T) {
 		allocsBig, tuplesBig := measure(260)
 		extra := tuplesBig - tuplesSmall
 		perTuple := (allocsBig - allocsSmall) / float64(extra)
-		t.Logf("G=%d: %d->%d tuples, %.4f allocs per derived tuple", g, tuplesSmall, tuplesBig, perTuple)
+		t.Logf("staged=%v: %d->%d tuples, %.4f allocs per derived tuple", staged, tuplesSmall, tuplesBig, perTuple)
 		if perTuple > 0.5 {
-			t.Fatalf("G=%d: marginal allocations per derived tuple = %.3f, want < 0.5 "+
-				"(the staged pipeline is allocating per probe)", g, perTuple)
+			t.Fatalf("staged=%v: marginal allocations per derived tuple = %.3f, want < 0.5 "+
+				"(the probe loop is allocating per probe)", staged, perTuple)
 		}
 	}
 }
 
-// BenchmarkPipelineGroupSweep is the G ∈ {1,4,8,16,32} sweep on the
-// single-worker TC hot loop — the headline microbenchmark for the
-// staged pipeline (G=1 is the serial baseline).
-func BenchmarkPipelineGroupSweep(b *testing.B) {
+// BenchmarkPipelineStaged compares the serial walk with the staged
+// pipeline on the single-worker TC hot loop — the headline
+// microbenchmark for the pipeline. The input is far below the size
+// gate, so the staged arm drops it through Options.stageAlways.
+func BenchmarkPipelineStaged(b *testing.B) {
 	src := `tc(X, Y) :- edge(X, Y).
 	tc(X, Z) :- tc(X, Y), edge(Y, Z).`
 	schemas := map[string]*storage.Schema{"edge": intSchema("edge", "x", "y")}
 	prog := compileSrc(b, src, schemas, nil)
 	edb := map[string][]storage.Tuple{"edge": benchTCEdges()}
-	for _, g := range []int{1, 4, 8, 16, 32} {
-		b.Run(fmt.Sprintf("G=%d", g), func(b *testing.B) {
+	for _, staged := range []bool{false, true} {
+		b.Run(fmt.Sprintf("staged=%v", staged), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Run(prog, edb, Options{
-					Workers: 1, Strategy: coord.DWS, ProbeGroup: g}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBloomModes compares Off/Auto/Force end to end on a workload
-// mixing a recursive join (high hit rate — Auto should not guard) with
-// a miss-heavy negation (Auto should guard).
-func BenchmarkBloomModes(b *testing.B) {
-	src := `
-		tc(X, Y) :- edge(X, Y).
-		tc(X, Z) :- tc(X, Y), edge(Y, Z).
-		node(X) :- edge(X, _).
-		sink(X) :- node(X), !edge(X, X).
-	`
-	schemas := map[string]*storage.Schema{"edge": intSchema("edge", "x", "y")}
-	prog := compileSrc(b, src, schemas, nil)
-	edb := map[string][]storage.Tuple{"edge": benchTCEdges()}
-	for _, m := range []struct {
-		name string
-		mode BloomMode
-	}{{"off", BloomOff}, {"auto", BloomAuto}, {"force", BloomForce}} {
-		b.Run(m.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(prog, edb, Options{
-					Workers: 1, Strategy: coord.DWS, Bloom: m.mode}); err != nil {
+					Workers: 1, Strategy: coord.DWS, stageAlways: staged}); err != nil {
 					b.Fatal(err)
 				}
 			}

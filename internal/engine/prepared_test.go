@@ -18,9 +18,12 @@ func TestPreparedBaseMatchesColdRun(t *testing.T) {
 	edges := pairs(randGraph(rng, 60, 200))
 	schemas := arcSchemas()
 	edb := map[string][]storage.Tuple{"arc": edges}
+	// The sink rule is a guarded anti-join: warm runs probe the
+	// memoized index and its Bloom filter instead of freshly built ones.
 	src := `
 		tc(X, Y) :- arc(X, Y).
 		tc(X, Y) :- tc(X, Z), arc(Z, Y).
+		sink(X) :- arc(X, _), !arc(X, X).
 	`
 	prog := compileSrc(t, src, schemas, nil)
 	base := NewPreparedBase(schemas, edb)
@@ -38,9 +41,14 @@ func TestPreparedBaseMatchesColdRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(sortedRows(got.Relations["tc"]), sortedRows(cold.Relations["tc"])) {
-				t.Fatalf("prepared-base run diverged from cold run: %d vs %d tuples",
-					len(got.Relations["tc"]), len(cold.Relations["tc"]))
+			for _, rel := range []string{"tc", "sink"} {
+				if !reflect.DeepEqual(sortedRows(got.Relations[rel]), sortedRows(cold.Relations[rel])) {
+					t.Fatalf("prepared-base run diverged from cold run on %s: %d vs %d tuples",
+						rel, len(got.Relations[rel]), len(cold.Relations[rel]))
+				}
+			}
+			if got.Stats.Probe.BloomChecks == 0 {
+				t.Fatalf("warm anti-join consulted no Bloom filter: %+v", got.Stats.Probe)
 			}
 		})
 	}

@@ -67,11 +67,8 @@ type worker struct {
 	// pointer to it, and runStratum folds it into StratumStats.Probe.
 	// Plain int64s — single writer, read only after the worker exits.
 	pc storage.ProbeCounters
-	// probeGroup is the staged pipeline's group size G (Options.
-	// ProbeGroup, already clamped); stages is the pipeline's fixed
-	// per-worker scratch.
-	probeGroup int
-	stages     [maxProbeGroup]probeStage
+	// stages is the staged probe pipeline's fixed per-worker scratch.
+	stages [probeGroup]probeStage
 
 	// deque and morselBuf are this worker's side of the steal plane
 	// (steal.go): published delta blocks live in the fixed morselBuf
@@ -149,8 +146,7 @@ func newWorker(run *stratumRun, id int) *worker {
 	// Four frames' worth of rows per out-batch keeps the batch's dedup
 	// slot table small enough to stay cache-resident while preserving
 	// most of the within-iteration dedup scope.
-	w := &worker{id: id, run: run, flushCap: 4 * run.opts.BatchSize, inbox: run.inboxes[id],
-		probeGroup: run.opts.ProbeGroup}
+	w := &worker{id: id, run: run, flushCap: 4 * run.opts.BatchSize, inbox: run.inboxes[id]}
 	w.wireBufs = make([]storage.Tuple, len(run.st.Preds))
 	for pi := range run.st.Preds {
 		w.wireBufs[pi] = make(storage.Tuple, run.widths[pi])

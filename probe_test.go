@@ -1,72 +1,10 @@
 package dcdatalog
 
-import (
-	"context"
-	"testing"
-
-	"repro/internal/queries"
-)
-
-// TestBloomDifferentialAllQueries runs every paper query under each
-// coordination strategy with the Bloom guards forced on and forced
-// off — cold, and forced-on again through the warm prepared-base path
-// (Prepare + two Execs, so the second Exec probes memoized indexes and
-// their filters) — and requires identical results throughout.
-// Float-valued queries (PR) compare within the differential suite's
-// relative tolerance.
-func TestBloomDifferentialAllQueries(t *testing.T) {
-	strategies := []struct {
-		name string
-		s    Strategy
-	}{{"global", Global}, {"ssp", SSP}, {"dws", DWS}}
-	for _, q := range queries.All() {
-		q := q
-		t.Run(q.Name, func(t *testing.T) {
-			load, params := paperQueryData(t, q)
-			for _, st := range strategies {
-				st := st
-				t.Run(st.name, func(t *testing.T) {
-					base := append([]Option{WithWorkers(3), WithStrategy(st.s)}, params...)
-
-					off := NewDatabase()
-					load(off)
-					offRes, err := off.Query(q.Source, append(base, WithBloomGuards(BloomOff))...)
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					on := NewDatabase()
-					load(on)
-					onRes, err := on.Query(q.Source, append(base, WithBloomGuards(BloomForce))...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameRows(t, onRes.Rows(q.Output), offRes.Rows(q.Output))
-
-					// Warm path: the second Exec attaches cached indexes
-					// (and their Bloom filters) from the shared base.
-					warm := NewDatabase()
-					load(warm)
-					prep, err := warm.Prepare(q.Source, append(base, WithBloomGuards(BloomForce))...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := prep.Exec(context.Background()); err != nil {
-						t.Fatal(err)
-					}
-					warmRes, err := prep.Exec(context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameRows(t, warmRes.Rows(q.Output), offRes.Rows(q.Output))
-				})
-			}
-		})
-	}
-}
+import "testing"
 
 // TestProbeStatsExposed checks the probe counters ride through the
-// public Stats surface and that forcing the guards registers checks.
+// public Stats surface and that an anti-join, which is always guarded,
+// registers Bloom checks.
 func TestProbeStatsExposed(t *testing.T) {
 	db := NewDatabase()
 	db.MustDeclare("arc", Col("x", Int), Col("y", Int))
@@ -78,8 +16,9 @@ func TestProbeStatsExposed(t *testing.T) {
 	src := `
 		tc(X, Y) :- arc(X, Y).
 		tc(X, Z) :- tc(X, Y), arc(Y, Z).
+		sink(X) :- arc(X, _), !arc(X, X).
 	`
-	res, err := db.Query(src, WithWorkers(2), WithBloomGuards(BloomForce), WithProbeGroup(8))
+	res, err := db.Query(src, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +27,6 @@ func TestProbeStatsExposed(t *testing.T) {
 		t.Fatalf("probe counters not populated: %+v", pc)
 	}
 	if pc.BloomChecks == 0 {
-		t.Fatalf("forced bloom registered no checks: %+v", pc)
+		t.Fatalf("guarded anti-join registered no checks: %+v", pc)
 	}
 }
