@@ -9,9 +9,7 @@
 //
 // Experiments: table2, table3, table4, fig1, fig3, fig8, fig9a, fig9b,
 // probes (tag-reject / key-skip / Bloom-skip rates on the tracking suite),
-// steal (morsel scheduler on vs off: time, busy-time imbalance, steal
-// counters on the tracking suite incl. the hub-skewed cell), ivm
-// (materialized-view incremental refresh vs full recompute across
+// ivm (materialized-view incremental refresh vs full recompute across
 // delta sizes on the TC tracking cell), demand (magic-set rewrite on
 // vs off on the bound point-query cells, interleaved A/B).
 package main
@@ -34,12 +32,11 @@ func main() {
 // realMain carries the exit code out so the profile-writing defers run;
 // os.Exit in main would discard them.
 func realMain() int {
-	exp := flag.String("exp", "all", "experiment to run: all, table2, table3, table4, fig1, fig3, fig8, fig9a, fig9b, probes, steal, ivm, demand")
+	exp := flag.String("exp", "all", "experiment to run: all, table2, table3, table4, fig1, fig3, fig8, fig9a, fig9b, probes, ivm, demand")
 	scale := flag.Float64("scale", 1, "dataset scale multiplier")
 	workers := flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS, min 4)")
 	seed := flag.Int64("seed", 42, "generator seed")
 	benchjson := flag.String("benchjson", "", "run the fixed tracking suite (TC, CC, SSSP, SG, hub-skewed CC at 1/4/8/16 workers) and write JSON to this file ('-' = stdout)")
-	nosteal := flag.Bool("nosteal", false, "disable morsel work stealing in the tracking suite (A/B against the default)")
 	setup := flag.Bool("setup", false, "measure cold vs warm setup time (prepared-base index cache) over the tracking suite")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -89,7 +86,7 @@ func realMain() int {
 		}()
 	}
 
-	cfg := bench.Config{Scale: *scale, Workers: *workers, Seed: *seed, NoSteal: *nosteal}
+	cfg := bench.Config{Scale: *scale, Workers: *workers, Seed: *seed}
 
 	if *setup {
 		bench.SetupReport(cfg).Render(os.Stdout)
@@ -125,11 +122,10 @@ func realMain() int {
 		"fig9a":  func() []*bench.Table { return bench.Figure9a(cfg) },
 		"fig9b":  func() []*bench.Table { return []*bench.Table{bench.Figure9b(cfg)} },
 		"probes": func() []*bench.Table { return []*bench.Table{bench.ProbeReport(cfg)} },
-		"steal":  func() []*bench.Table { return []*bench.Table{bench.StealReport(cfg)} },
 		"ivm":    func() []*bench.Table { return []*bench.Table{bench.IvmReport(cfg)} },
 		"demand": func() []*bench.Table { return []*bench.Table{bench.DemandReport(cfg)} },
 	}
-	order := []string{"fig3", "fig1", "table2", "table3", "table4", "fig8", "fig9a", "fig9b", "probes", "steal", "ivm", "demand"}
+	order := []string{"fig3", "fig1", "table2", "table3", "table4", "fig8", "fig9a", "fig9b", "probes", "ivm", "demand"}
 
 	var selected []string
 	switch *exp {

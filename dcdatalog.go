@@ -14,9 +14,8 @@
 // always Bloom-guarded, join probes are guarded once a 512-probe
 // warm-up shows mostly misses, and joins on base indexes of at least
 // 2^19 rows run through a group-prefetched pipeline. The ablation
-// options cover the paper's own mechanisms (WithoutExistCache,
-// WithoutIndexAgg, WithoutPartialAgg) and work stealing
-// (WithoutStealing).
+// options cover only the paper's own mechanisms (WithoutExistCache,
+// WithoutIndexAgg, WithoutPartialAgg).
 //
 // Quick start:
 //
@@ -543,14 +542,6 @@ func WithoutIndexAgg() Option {
 // (ablation).
 func WithoutPartialAgg() Option {
 	return func(c *config, _ *Database) error { c.opts.NoPartialAgg = true; return nil }
-}
-
-// WithoutStealing disables morsel-driven work stealing: every worker
-// evaluates only the delta it gathered, as before the steal plane
-// existed (ablation and differential testing; skewed workloads at
-// multiple workers lose their load balancing).
-func WithoutStealing() Option {
-	return func(c *config, _ *Database) error { c.opts.StealOff = true; return nil }
 }
 
 // WithBroadcastReplication forces broadcast replication of recursive

@@ -10,7 +10,6 @@ import (
 	"repro/internal/coord"
 	"repro/internal/datasets"
 	"repro/internal/des"
-	"repro/internal/engine"
 	"repro/internal/queries"
 	"repro/internal/storage"
 )
@@ -28,9 +27,6 @@ type Config struct {
 	// baselines; hitting it is reported as OOM, mirroring the paper's
 	// out-of-memory columns for Soufflé-style evaluation.
 	StratCap int
-	// NoSteal disables morsel-driven work stealing in the tracking
-	// suite (A/B comparisons; the steal report sets it per column).
-	NoSteal bool
 }
 
 func (c Config) withDefaults() Config {
@@ -74,7 +70,6 @@ type measurement struct {
 	note    string // "OOM", "NS", "ERR: ..." or empty
 	tuples  int
 	probe   storage.ProbeCounters // memory-level probe statistics
-	steal   engine.StealStats     // morsel-scheduler activity
 	// imbalance is max/mean per-worker busy time (1.0 = balanced).
 	imbalance float64
 	// demandRewritten reports whether the demand (magic-set) rewrite
@@ -108,7 +103,6 @@ func run(ds dataset, src, output string, opts ...dcdatalog.Option) measurement {
 		setupNS:         stats.SetupDuration.Nanoseconds(),
 		tuples:          res.Len(output),
 		probe:           stats.Probe,
-		steal:           stats.Steal,
 		imbalance:       stats.Imbalance(),
 		demandRewritten: res.DemandRewritten(),
 	}

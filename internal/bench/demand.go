@@ -60,9 +60,6 @@ func DemandReport(cfg Config) *Table {
 
 	for _, j := range jobs {
 		base := []dcdatalog.Option{dcdatalog.WithWorkers(cfg.Workers)}
-		if cfg.NoSteal {
-			base = append(base, dcdatalog.WithoutStealing())
-		}
 		var on, off []float64
 		var onM, offM measurement
 		for rep := 0; rep < demandReps; rep++ {

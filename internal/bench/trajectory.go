@@ -35,15 +35,10 @@ type BenchPoint struct {
 	ProbeTagRejectRate float64 `json:"probe_tag_reject_rate"`
 	ProbeKeySkipRate   float64 `json:"probe_key_skip_rate"`
 	ProbeBloomSkipRate float64 `json:"probe_bloom_skip_rate"`
-	// Steal-plane counters (PR8): how the morsel scheduler behaved.
 	// Imbalance is max/mean per-worker busy time — 1.0 is perfectly
-	// balanced, and the skewed cells are where stealing should pull it
-	// down.
-	StealMorsels  int64   `json:"steal_morsels"`
-	StealStolen   int64   `json:"steal_stolen"`
-	StealAttempts int64   `json:"steal_attempts"`
-	StealFailures int64   `json:"steal_failures"`
-	Imbalance     float64 `json:"imbalance"`
+	// balanced. It measures how evenly hash partitioning split the
+	// work; the hub-skewed cell is where it strays furthest from 1.
+	Imbalance float64 `json:"imbalance"`
 	// IVM counters (PR9): materialized-view refresh wall time and
 	// delta-kernel output for the "TC-IVM" sweep cells; zero elsewhere.
 	IvmRefreshNS   int64 `json:"ivm_refresh_ns,omitempty"`
@@ -85,11 +80,11 @@ func trackingJobs(cfg Config) []trackJob {
 	sgEdges := datasets.Tree(6, 2, 3, cfg.Seed)
 	jobs = append(jobs, trackJob{queries.SG(), "tree-6", dataset{load: loadArcs(sgEdges)}})
 
-	// Hub-skewed cell (PR8): a Zipf-sourced graph whose top hubs own
-	// most of the out-edges, so the partitions holding the hubs' join
-	// keys receive most of each recursive delta. This is the workload
-	// morsel stealing exists for; the uniform cells above double as its
-	// no-regression control.
+	// Hub-skewed cell: a Zipf-sourced graph whose top hubs own most of
+	// the out-edges, so the partitions holding the hubs' join keys
+	// receive most of each recursive delta. It tracks how the DWS
+	// schedule copes with skewed partitions (see the imbalance field);
+	// the uniform cells above are its balanced counterpart.
 	hubEdges := datasets.Undirect(datasets.Hub(cfg.scaled(4000), int(cfg.scaled(24000)), 1.3, cfg.Seed))
 	jobs = append(jobs, trackJob{queries.CC(), "hub-4k", dataset{load: loadArcs(hubEdges)}})
 
@@ -129,11 +124,7 @@ func Trajectory(cfg Config) []BenchPoint {
 			// shifts the timings of every cell after it.
 			runtime.GC()
 			runtime.GC()
-			opts := []dcdatalog.Option{dcdatalog.WithWorkers(w)}
-			if cfg.NoSteal {
-				opts = append(opts, dcdatalog.WithoutStealing())
-			}
-			m := run(j.ds, j.query.Source, j.query.Output, opts...)
+			m := run(j.ds, j.query.Source, j.query.Output, dcdatalog.WithWorkers(w))
 			points = append(points, BenchPoint{
 				Query:              j.query.Name,
 				Dataset:            j.dsName,
@@ -151,10 +142,6 @@ func Trajectory(cfg Config) []BenchPoint {
 				ProbeTagRejectRate: m.probe.TagRejectRate(),
 				ProbeKeySkipRate:   m.probe.KeySkipRate(),
 				ProbeBloomSkipRate: m.probe.BloomSkipRate(),
-				StealMorsels:       m.steal.MorselsExecuted,
-				StealStolen:        m.steal.MorselsStolen,
-				StealAttempts:      m.steal.Attempts,
-				StealFailures:      m.steal.Failures,
 				Imbalance:          m.imbalance,
 				DemandRewritten:    boolInt(m.demandRewritten),
 				DemandEstTuples:    m.demandEst,

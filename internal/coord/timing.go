@@ -63,27 +63,13 @@ const (
 
 // Backoff is the shared adaptive spin→yield→sleep helper behind
 // park(), dwsGate() and sspGate(). The zero value is ready to use;
-// Reset it when the condition being waited for is fulfilled so the
-// next wait starts cheap again.
+// each wait starts from a fresh one.
 type Backoff struct {
 	// Clk, when set, is refreshed after every sleep so stale coarse
 	// readings cannot outlive a sleep tick.
-	Clk *CoarseClock
-	// Help, when set, is consulted before the backoff escalates past
-	// the yield tier: if it finds (and performs) useful work it returns
-	// true and the backoff resets to the cheapest tier instead of
-	// sleeping. This is how gate and park waits stay responsive to the
-	// engine's steal plane — a worker about to sleep 20–50µs first asks
-	// whether a peer has morsels it could run.
-	Help  func() bool
+	Clk   *CoarseClock
 	round uint32
 	sleep time.Duration
-}
-
-// Reset returns the backoff to the cheapest tier.
-func (b *Backoff) Reset() {
-	b.round = 0
-	b.sleep = 0
 }
 
 // Pause blocks the caller for the current tier's duration and
@@ -94,10 +80,6 @@ func (b *Backoff) Pause() bool {
 	if b.round < backoffYieldRounds {
 		b.round++
 		runtime.Gosched()
-		return false
-	}
-	if b.Help != nil && b.Help() {
-		b.Reset()
 		return false
 	}
 	if b.sleep == 0 {

@@ -40,36 +40,6 @@ func TestBackoffEscalation(t *testing.T) {
 	if b.sleep != BackoffSleepMax {
 		t.Fatalf("sleep did not cap: %v, want %v", b.sleep, BackoffSleepMax)
 	}
-	b.Reset()
-	if b.Pause() {
-		t.Fatal("Reset must return to the yield tier")
-	}
-}
-
-func TestBackoffHelpPreemptsSleep(t *testing.T) {
-	helped := 0
-	b := Backoff{Help: func() bool { helped++; return helped <= 3 }}
-	// While Help keeps finding work, the backoff must never sleep and
-	// must reset to the yield tier after each helped round.
-	for i := 0; i < 3*(backoffYieldRounds+1); i++ {
-		if b.Pause() {
-			t.Fatalf("slept on round %d while Help still had work", i)
-		}
-	}
-	if helped != 3 {
-		t.Fatalf("Help called %d times, want 3", helped)
-	}
-	// Once Help runs dry the sleep tier resumes.
-	slept := false
-	for i := 0; i < backoffYieldRounds+2 && !slept; i++ {
-		slept = b.Pause()
-	}
-	if !slept {
-		t.Fatal("backoff never escalated to sleep after Help ran dry")
-	}
-	if helped != 4 {
-		t.Fatalf("Help called %d times total, want 4 (one failed probe)", helped)
-	}
 }
 
 func TestBackoffRefreshesClock(t *testing.T) {

@@ -173,7 +173,6 @@ func RunContext(ctx context.Context, prog *physical.Program, edb map[string][]st
 		}
 		res.Stats.Strata = append(res.Stats.Strata, *ss)
 		res.Stats.Probe.Add(ss.Probe)
-		res.Stats.Steal.Add(ss.Steal)
 		if ss.Capped && budgetErr == nil {
 			budgetErr = &BudgetError{Stratum: si, Preds: ss.Preds, Tuples: ss.TuplesDerived}
 		}
@@ -231,17 +230,6 @@ type stratumRun struct {
 	// rc is the run-wide cancellation token; workers poll it at every
 	// safe point (see runCancel).
 	rc *runCancel
-
-	// stealOn gates the morsel steal plane (>1 worker, not StealOff,
-	// and at least one stealable delta stream — see steal.go).
-	stealOn bool
-	// stealable[pred][path] marks delta streams whose variants probe
-	// only the immutable shared store and may therefore be evaluated
-	// by any worker.
-	stealable [][]bool
-	// steal[i] is worker i's padded load-hint + outstanding-morsel
-	// shard.
-	steal []stealShard
 
 	// derived counts every derivation that left a kernel — remote
 	// sends plus self-bound tuples — so MaxTuples bounds total
@@ -358,7 +346,6 @@ func runStratum(ctx context.Context, si int, prog *physical.Program, st *physica
 	}
 	collect(st.BaseRules)
 	collect(st.RecRules)
-	run.initSteal()
 
 	run.workers = make([]*worker, n)
 	for i := 0; i < n; i++ {
@@ -415,7 +402,6 @@ func runStratum(ctx context.Context, si int, prog *physical.Program, st *physica
 		run.stats.BusyTime[i] = w.busyTime
 		run.stats.TuplesMerged += w.merged
 		run.stats.Probe.Add(w.pc)
-		run.stats.Steal.Add(w.steal)
 		if w.droppedDeltas {
 			run.stats.Capped = true
 		}

@@ -57,11 +57,6 @@ type Options struct {
 	// generated delta rules guard on a view's live fixpoint without
 	// snapshotting or indexing it per refresh.
 	Probers map[string]MembershipProber
-	// StealOff disables morsel-driven work stealing: each worker
-	// evaluates only its own gathered delta, as before PR8 (ablation /
-	// differential testing). Stealing is also implicitly off at one
-	// worker, where there is no peer to steal from.
-	StealOff bool
 
 	// stageAlways drops the staged probe pipeline's size gate
 	// (pipelineMinRows) so small test inputs exercise the staged path.
@@ -92,20 +87,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// StealStats aggregates the morsel scheduler's activity: how many
-// delta morsels ran, how many ran on a worker other than the one that
-// gathered them, and how the idle workers' steal probes fared.
+// StealStats is always zero: the engine has no work-stealing
+// scheduler. It is kept, with Stats.Steal, only because the perfbench
+// benchmark module still reads it for its engine.morsels and
+// engine.steal_success_ratio metrics; delete both once a benchmark
+// change drops those metrics.
 type StealStats struct {
-	// MorselsExecuted counts every shared delta block that went through
-	// the steal plane (executed by its owner or by a thief).
-	MorselsExecuted int64
-	// MorselsStolen counts morsels executed by a non-owner.
-	MorselsStolen int64
-	// Attempts counts steal probes against a chosen victim's deque;
-	// Failures counts the probes that found it already drained (lost
-	// the race to the owner or another thief).
-	Attempts int64
-	Failures int64
+	MorselsExecuted, MorselsStolen, Attempts int64
 }
 
 // Add accumulates o into s.
@@ -113,7 +101,6 @@ func (s *StealStats) Add(o StealStats) {
 	s.MorselsExecuted += o.MorselsExecuted
 	s.MorselsStolen += o.MorselsStolen
 	s.Attempts += o.Attempts
-	s.Failures += o.Failures
 }
 
 // imbalance is max/mean over per-worker busy time; 1.0 is perfectly
@@ -157,13 +144,10 @@ type StratumStats struct {
 	// stratum.
 	Probe storage.ProbeCounters
 	// BusyTime is per-worker evaluation time: kernel execution over
-	// seeds, local deltas and morsels (own or stolen), excluding
-	// gathers, gates and parked waiting. Its spread is what the steal
-	// plane exists to flatten.
+	// seeds and local deltas, excluding gathers, gates and parked
+	// waiting. Its spread measures how evenly hash partitioning split
+	// the work.
 	BusyTime []time.Duration
-	// Steal sums the workers' morsel-scheduler counters for this
-	// stratum.
-	Steal StealStats
 }
 
 // Imbalance is the stratum's busy-time imbalance ratio (max/mean); 1.0
@@ -185,8 +169,7 @@ type Stats struct {
 	Strata   []StratumStats
 	// Probe sums the per-stratum probe counters over the whole run.
 	Probe storage.ProbeCounters
-	// Steal sums the per-stratum morsel-scheduler counters over the
-	// whole run.
+	// Steal is always zero; see StealStats.
 	Steal StealStats
 }
 

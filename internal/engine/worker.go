@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/coord"
-	"repro/internal/deque"
 	"repro/internal/queueing"
 	"repro/internal/storage"
 )
@@ -69,19 +68,6 @@ type worker struct {
 	pc storage.ProbeCounters
 	// stages is the staged probe pipeline's fixed per-worker scratch.
 	stages [probeGroup]probeStage
-
-	// deque and morselBuf are this worker's side of the steal plane
-	// (steal.go): published delta blocks live in the fixed morselBuf
-	// arena and circulate by index through the Chase–Lev deque.
-	// morselN is the arena high-water mark, reset once finishMorsels
-	// has joined on every published morsel. steal counts this worker's
-	// scheduler activity (single writer; folded after the worker
-	// exits). All nil/zero when run.stealOn is false.
-	deque     *deque.Deque
-	morselBuf []morsel
-	morselN   int
-	steal     StealStats
-	helpFn    func() bool
 
 	localIters    int64
 	waitTime      time.Duration
@@ -176,15 +162,6 @@ func newWorker(run *stratumRun, id int) *worker {
 	w.arrivals = make([]*queueing.ArrivalTracker, run.n)
 	for j := range w.arrivals {
 		w.arrivals[j] = &queueing.ArrivalTracker{}
-	}
-	if run.stealOn {
-		// Deque and arena are the same size, so a publish can only
-		// fail defensively (see shareDelta).
-		w.deque = deque.New(morselCap)
-		w.morselBuf = make([]morsel, morselCap)
-		// One bound method value, built here so gate backoffs can hand
-		// it to coord.Backoff.Help without allocating per wait.
-		w.helpFn = w.trySteal
 	}
 	// Compile every rule variant into this worker's cursor kernels
 	// (replicas must exist first: join frames resolve replica indexes
@@ -336,13 +313,6 @@ func (w *worker) runAsync() {
 		w.gather()
 		total := w.pendingDelta()
 		if total == 0 {
-			// No local delta: run stolen morsels while still
-			// detector-active (their derivations may even land back
-			// here as fresh local delta). Only a dry steal plane
-			// parks.
-			if w.stealWork() {
-				continue
-			}
 			if w.park() {
 				return
 			}
@@ -384,10 +354,6 @@ func (w *worker) runGlobal() {
 		}
 		if has {
 			w.iterate()
-		} else {
-			// Peers with deltas are iterating right now; take morsels
-			// off their deques instead of idling at the barrier.
-			w.globalSteal()
 		}
 		waitStart = w.run.clk.Refresh()
 		w.run.bar.Wait(false) // all sends of this round enqueued
@@ -402,14 +368,6 @@ func (w *worker) runGlobal() {
 // power-of-two rounds while yielding and on every sleep tick once the
 // backoff has escalated, so a parked fleet probes the shards at sleep
 // frequency instead of spin frequency.
-//
-// The loop also peeks the steal plane each round: a parked worker used
-// to escalate into the sleep tier even while a peer advertised morsels
-// it could run, stacking up to BackoffSleepMax of idle latency on work
-// that was already available. Peek only — claiming a morsel produces
-// and consumes exchange traffic, which is only sound while
-// detector-active, so the worker unparks first and the main loop's
-// stealWork claims it.
 func (w *worker) park() bool {
 	w.run.det.SetInactive(w.id)
 	w.run.clock.Park(w.id)
@@ -427,7 +385,7 @@ func (w *worker) park() bool {
 			// backoff tick (≤ BackoffSleepMax of sleep).
 			return true
 		}
-		if w.inboxNonEmpty() || w.stealAvailable() {
+		if w.inboxNonEmpty() {
 			w.run.det.SetActive(w.id)
 			w.run.clock.Unpark(w.id)
 			return false
@@ -453,9 +411,7 @@ func (w *worker) dwsGate(total int) {
 	clk := w.run.clk
 	start := clk.Refresh()
 	deadline := start + int64(d.Tau*float64(time.Second))
-	// While the delta fattens, spend would-be sleep ticks running
-	// stolen morsels (the worker is active, so claiming is sound).
-	b := coord.Backoff{Clk: clk, Help: w.helpFn}
+	b := coord.Backoff{Clk: clk}
 	for clk.Now() < deadline {
 		if w.canceled() {
 			break
@@ -481,10 +437,7 @@ func (w *worker) sspGate() {
 	}
 	clk := w.run.clk
 	start := clk.Refresh()
-	// Helping the slowest worker through its backlog is the fastest
-	// way to be allowed to proceed, so the backoff steals before it
-	// sleeps.
-	b := coord.Backoff{Clk: clk, Help: w.helpFn}
+	b := coord.Backoff{Clk: clk}
 	for {
 		w.gather()
 		if w.run.clock.MayProceed(w.id) {
@@ -547,12 +500,6 @@ func (w *worker) iterate() {
 				w.droppedDeltas = true
 				continue
 			}
-			if w.run.stealOn && w.run.stealable[pi][path] && len(delta) > deltaBlock {
-				// Publish the tail blocks for peers to steal; the
-				// budget/cancel rechecks run per morsel inside.
-				w.shareDelta(pi, path, delta)
-				continue
-			}
 			kernels := w.recKernels[pi][path]
 			busyStart := w.run.clk.Refresh()
 			for lo := 0; lo < len(delta); lo += deltaBlock {
@@ -580,9 +527,6 @@ func (w *worker) iterate() {
 			w.busyTime += time.Duration(w.run.clk.Refresh() - busyStart)
 		}
 	}
-	// Join on published morsels before touching the self buffers: no
-	// delta buffer may be recycled while a thief still reads it.
-	w.finishMorsels()
 	w.drainSelf()
 	w.flushAll()
 	w.service.Record(processed, float64(w.run.clk.Refresh()-start)/1e9)

@@ -5,7 +5,7 @@
 // recursion from the bound values, so the engine derives just the
 // demanded subset instead of the full fixpoint. The rewritten program
 // is ordinary Datalog — it re-analyzes through pcg and evaluates on
-// the unmodified kernel, exchange and stealing planes, exactly like
+// the unmodified kernel and exchange plane, exactly like
 // the ivm delta programs.
 //
 // The transform is applied per recursive clique and declined — never

@@ -36,16 +36,6 @@ type Metrics struct {
 	ProbeBloomChecks atomic.Int64
 	ProbeBloomSkips  atomic.Int64
 
-	// Morsel-scheduler counters, summed over completed queries: delta
-	// blocks published to the steal plane, the subset executed by a
-	// non-owner, and the idle workers' steal probes (attempts /
-	// failures). A high stolen share on a dashboard means the workload
-	// is skew-bound and the scheduler is absorbing it.
-	StealMorsels  atomic.Int64
-	StealStolen   atomic.Int64
-	StealAttempts atomic.Int64
-	StealFailures atomic.Int64
-
 	// SetupSeconds distributes per-query setup time (base-relation
 	// registration + index attach/build before evaluation): warm
 	// queries against a prepared base land in the lowest buckets, cold
@@ -163,10 +153,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, counters []counter, gauges ...gau
 	emit("dcserve_probe_key_skips_total", "Full-key compares eliminated by the single-key bucket audit.", m.ProbeKeySkips.Load())
 	emit("dcserve_probe_bloom_checks_total", "Probes consulted against a Bloom guard.", m.ProbeBloomChecks.Load())
 	emit("dcserve_probe_bloom_skips_total", "Directory walks skipped because the Bloom guard ruled the key out.", m.ProbeBloomSkips.Load())
-	emit("dcserve_steal_morsels_total", "Delta blocks published to the work-stealing plane.", m.StealMorsels.Load())
-	emit("dcserve_steal_stolen_total", "Published morsels executed by a worker other than their owner.", m.StealStolen.Load())
-	emit("dcserve_steal_attempts_total", "Steal probes against a peer's deque.", m.StealAttempts.Load())
-	emit("dcserve_steal_failures_total", "Steal probes that lost the race for an already-drained deque.", m.StealFailures.Load())
 	emit("dcserve_mutations_total", "Mutation batches applied.", m.MutationsOK.Load())
 	emit("dcserve_mutations_failed_total", "Mutation batches that failed validation or application.", m.MutationsFailed.Load())
 	emit("dcserve_mutations_rejected_total", "Mutation batches shed by admission control.", m.MutationsRejected.Load())

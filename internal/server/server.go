@@ -147,6 +147,30 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBody bounds the JSON bodies of /v1/query and /v1/views. A
+// program with its parameters fits in a few KiB; the bound only stops a
+// client from streaming an unbounded body into the decoder.
+const maxRequestBody = 1 << 20
+
+// decodeRequest decodes r's JSON body into v, reading at most
+// maxRequestBody bytes. On failure it writes the error response itself
+// (413 for an oversized body, 400 for a malformed one) and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.UseNumber()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, "%s request body exceeds %d bytes", what, tooLarge.Limit)
+	default:
+		httpError(w, http.StatusBadRequest, "bad %s request: %v", what, err)
+	}
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -261,11 +285,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
-	dec := json.NewDecoder(r.Body)
-	dec.UseNumber()
 	var req queryRequest
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad query request: %v", err)
+	if !decodeRequest(w, r, "query", &req) {
 		return
 	}
 	if req.Program == "" {
@@ -424,10 +445,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ProbeKeySkips.Add(stats.Probe.KeySkips)
 	s.metrics.ProbeBloomChecks.Add(stats.Probe.BloomChecks)
 	s.metrics.ProbeBloomSkips.Add(stats.Probe.BloomSkips)
-	s.metrics.StealMorsels.Add(stats.Steal.MorselsExecuted)
-	s.metrics.StealStolen.Add(stats.Steal.MorselsStolen)
-	s.metrics.StealAttempts.Add(stats.Steal.Attempts)
-	s.metrics.StealFailures.Add(stats.Steal.Failures)
 	s.metrics.SetupSeconds.Observe(stats.SetupDuration)
 	if res.DemandRewritten() {
 		s.metrics.DemandRewrites.Add(1)

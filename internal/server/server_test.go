@@ -121,6 +121,37 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected posts query and view bodies just over the
+// 1 MiB limit: both must fail with 413 before anything is compiled,
+// and the server must keep serving afterwards.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	registerCycle(t, ts, "graph", 8)
+	huge := tcProgram + strings.Repeat(" ", maxRequestBody)
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/query", queryRequest{Dataset: "graph", Program: huge}},
+		{"/v1/views", viewRequest{Dataset: "graph", Name: "tc", Program: huge}},
+	} {
+		body, _ := json.Marshal(c.body)
+		resp, err := http.Post(ts.URL+c.path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413: %s", c.path, resp.StatusCode, msg)
+		}
+	}
+	resp, qr := postQuery(t, ts, queryRequest{Dataset: "graph", Program: tcProgram, Relations: []string{"tc"}})
+	if resp.StatusCode != http.StatusOK || qr.Counts["tc"] != 64 {
+		t.Fatalf("query after rejected bodies: status %d, tc %d", resp.StatusCode, qr.Counts["tc"])
+	}
+}
+
 func TestPreparedCacheHitMiss(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	registerCycle(t, ts, "graph", 8)
@@ -383,10 +414,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"dcserve_probe_key_skips_total",
 		"dcserve_probe_bloom_checks_total",
 		"dcserve_probe_bloom_skips_total",
-		"dcserve_steal_morsels_total",
-		"dcserve_steal_stolen_total",
-		"dcserve_steal_attempts_total",
-		"dcserve_steal_failures_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)

@@ -259,11 +259,8 @@ func (s *Server) handleCreateView(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
-	dec := json.NewDecoder(r.Body)
-	dec.UseNumber()
 	var req viewRequest
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad view request: %v", err)
+	if !decodeRequest(w, r, "view", &req) {
 		return
 	}
 	if req.Name == "" || req.Program == "" {
