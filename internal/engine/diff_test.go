@@ -14,7 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/coord"
-	"repro/internal/datasets"
+
 	"repro/internal/naive"
 	"repro/internal/parser"
 	"repro/internal/pcg"
@@ -87,35 +87,13 @@ func assertSameRelation(t *testing.T, name string, got, want []storage.Tuple) {
 }
 
 func TestDifferentialTC(t *testing.T) {
-	type input struct {
-		name string
-		arc  []storage.Tuple
-	}
-	var inputs []input
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		edges := randGraph(rng, 25+int(seed)*10, 60+int(seed)*30)
-		inputs = append(inputs, input{fmt.Sprintf("seed%d", seed), pairs(edges)})
-	}
-	// Hub-skewed: Zipf-distributed sources concentrate most out-edges
-	// on a few vertices, so the partitions owning the hubs' join keys
-	// receive most of each recursive delta.
-	inputs = append(inputs, input{"hub", datasets.EdgeTuples(datasets.Hub(300, 1500, 1.5, 11))})
-	// The oracle's nested-loop joins take about 20 s on the hub graph,
-	// so each input is evaluated by it once, not once per config.
-	a, err := pcg.Analyze(parser.MustParse(tcSrc), arcSchemas(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range inputs {
-		edb := map[string][]storage.Tuple{"arc": in.arc}
-		want, err := naive.Eval(a, edb, storage.NewSymbolTable(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, o := range diffConfigs() {
-			got := runSrc(t, tcSrc, arcSchemas(), edb, nil, o).Relations
-			assertSameRelation(t, fmt.Sprintf("tc/%s/%s", in.name, cfgName(o)), got["tc"], want["tc"])
+			got, want := runBoth(t, tcSrc, arcSchemas(),
+				map[string][]storage.Tuple{"arc": pairs(edges)}, nil, o)
+			assertSameRelation(t, fmt.Sprintf("tc/seed%d/%s", seed, cfgName(o)), got["tc"], want["tc"])
 		}
 	}
 }
