@@ -10,12 +10,14 @@
 // single-consumer rings, coordinated by the paper's Dynamic
 // Weight-based Strategy (default) or the Global/SSP baselines.
 //
-// The probe path tunes itself and has no options: anti-join probes are
-// always Bloom-guarded, join probes are guarded once a 512-probe
-// warm-up shows mostly misses, and joins on base indexes of at least
-// 2^19 rows run through a group-prefetched pipeline. The ablation
-// options cover only the paper's own mechanisms (WithoutExistCache,
-// WithoutIndexAgg, WithoutPartialAgg).
+// The exchange's only knob is WithBatchSize: SSP's staleness bound is
+// the paper's s = 5, a DWS wait budget τ is capped at 2 ms, and every
+// ring holds 4096 messages. The probe path tunes itself and has no
+// options: anti-join probes are always Bloom-guarded, join probes are
+// guarded once a 512-probe warm-up shows mostly misses, and joins on
+// base indexes of at least 2^19 rows run through a group-prefetched
+// pipeline. The ablation options cover only the paper's own mechanisms
+// (WithoutExistCache, WithoutIndexAgg, WithoutPartialAgg).
 //
 // Quick start:
 //
@@ -39,7 +41,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/coord"
 	"repro/internal/engine"
@@ -495,16 +496,6 @@ func WithStrategy(s Strategy) Option {
 	return func(c *config, _ *Database) error { c.opts.Strategy = s; return nil }
 }
 
-// WithSlack sets the SSP staleness bound s.
-func WithSlack(s int) Option {
-	return func(c *config, _ *Database) error { c.opts.Slack = s; return nil }
-}
-
-// WithMaxWait caps DWS's per-decision wait budget τ.
-func WithMaxWait(d time.Duration) Option {
-	return func(c *config, _ *Database) error { c.opts.MaxWait = d; return nil }
-}
-
 // WithBatchSize sets the tuple count per exchanged message.
 func WithBatchSize(n int) Option {
 	return func(c *config, _ *Database) error { c.opts.BatchSize = n; return nil }
@@ -631,8 +622,12 @@ func (r *Result) Relation(name string) []Tuple { return r.res.Relations[name] }
 
 // Rows decodes a derived relation into Go values per its schema.
 func (r *Result) Rows(name string) [][]any {
-	schema := r.analysis.Schemas[name]
-	tuples := r.res.Relations[name]
+	return r.db.decodeRows(r.analysis.Schemas[name], r.res.Relations[name])
+}
+
+// decodeRows decodes tuples into Go values per the schema's column
+// types, resolving interned symbols back to their strings.
+func (db *Database) decodeRows(schema *storage.Schema, tuples []storage.Tuple) [][]any {
 	out := make([][]any, len(tuples))
 	for i, t := range tuples {
 		row := make([]any, len(t))
@@ -641,7 +636,7 @@ func (r *Result) Rows(name string) [][]any {
 			case storage.TFloat:
 				row[j] = v.Float()
 			case storage.TSym:
-				if s, ok := r.db.syms.Lookup(v.Sym()); ok {
+				if s, ok := db.syms.Lookup(v.Sym()); ok {
 					row[j] = s
 				} else {
 					row[j] = v.Sym()
@@ -976,28 +971,7 @@ func (v *View) Relations() []string { return v.v.Relations() }
 
 // Rows decodes a maintained relation into Go values per its schema.
 func (v *View) Rows(pred string) [][]any {
-	schema := v.v.Schema(pred)
-	tuples := v.v.Relation(pred)
-	out := make([][]any, len(tuples))
-	for i, t := range tuples {
-		row := make([]any, len(t))
-		for j, val := range t {
-			switch schema.ColType(j) {
-			case storage.TFloat:
-				row[j] = val.Float()
-			case storage.TSym:
-				if s, ok := v.db.syms.Lookup(val.Sym()); ok {
-					row[j] = s
-				} else {
-					row[j] = val.Sym()
-				}
-			default:
-				row[j] = val.Int()
-			}
-		}
-		out[i] = row
-	}
-	return out
+	return v.db.decodeRows(v.v.Schema(pred), v.v.Relation(pred))
 }
 
 // Explain returns the logical plan and AND/OR tree of a program

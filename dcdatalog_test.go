@@ -46,7 +46,7 @@ func TestQueryTC(t *testing.T) {
 func TestQueryAllStrategiesViaOptions(t *testing.T) {
 	for _, s := range []Strategy{Global, SSP, DWS} {
 		db := newTCDB(t)
-		res, err := db.Query(tcProgram, WithStrategy(s), WithWorkers(3), WithSlack(2), WithBatchSize(4))
+		res, err := db.Query(tcProgram, WithStrategy(s), WithWorkers(3), WithBatchSize(4))
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}

@@ -66,18 +66,11 @@ type dataset struct {
 // measurement is one timed engine run.
 type measurement struct {
 	seconds float64
-	setupNS int64  // pre-evaluation setup (base registration + index builds)
 	note    string // "OOM", "NS", "ERR: ..." or empty
 	tuples  int
-	probe   storage.ProbeCounters // memory-level probe statistics
-	// imbalance is max/mean per-worker busy time (1.0 = balanced).
-	imbalance float64
 	// demandRewritten reports whether the demand (magic-set) rewrite
-	// applied; demandEst/demandActual are the planner's estimated vs
-	// the engine's actual derivation counts where estimable.
+	// applied.
 	demandRewritten bool
-	demandEst       int64
-	demandActual    int64
 }
 
 // run executes one query configuration against a fresh database.
@@ -97,17 +90,11 @@ func run(ds dataset, src, output string, opts ...dcdatalog.Option) measurement {
 	if err != nil {
 		return measurement{note: "ERR: " + err.Error()}
 	}
-	stats := res.Stats()
-	m := measurement{
+	return measurement{
 		seconds:         elapsed,
-		setupNS:         stats.SetupDuration.Nanoseconds(),
 		tuples:          res.Len(output),
-		probe:           stats.Probe,
-		imbalance:       stats.Imbalance(),
 		demandRewritten: res.DemandRewritten(),
 	}
-	m.demandEst, m.demandActual = res.DemandCardinalities()
-	return m
 }
 
 // engineSpec is one column of the comparison tables.

@@ -142,15 +142,16 @@ func TestInvertRoundTrip(t *testing.T) {
 
 func TestIvmSweepSmall(t *testing.T) {
 	// One interleaved rep at tiny scale: the sweep must produce one
-	// incremental-arm and one recompute-arm point per cell, with the
-	// pure-insertion cell staying on the delta kernel.
+	// incremental-arm and one recompute-arm timing per cell, with the
+	// pure-insertion cell staying on the delta kernel and deriving
+	// fresh tuples from its pendant source.
 	cfg := Config{Scale: 0.05, Workers: 2, Seed: 1}
 	ms := ivmMeasure(cfg, 1)
 	if len(ms) != len(ivmSweep(0)) {
 		t.Fatalf("measurements = %d, want %d", len(ms), len(ivmSweep(0)))
 	}
-	if ms[0].cell.label != "+1" || ms[0].mode != "incremental" {
-		t.Fatalf("pure-insertion cell = %+v, want incremental", ms[0])
+	if ms[0].cell.label != "+1" || ms[0].mode != "incremental" || ms[0].deltaTuples == 0 {
+		t.Fatalf("pure-insertion cell = %+v, want incremental with delta tuples", ms[0])
 	}
 	for _, m := range ms {
 		if m.incrNS <= 0 || m.fullNS <= 0 {

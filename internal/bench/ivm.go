@@ -112,11 +112,11 @@ func median(ns []int64) int64 {
 	return ns[len(ns)/2]
 }
 
-// ivmMeasure runs the sweep on the tracking cell (TC over rmat-512):
-// per delta size, interleaved A/B reps of (apply batch, refresh) on a
-// maintained view versus a crossover-disabled twin whose every refresh
-// is a full recompute, each rep rolled back by the inverted batch so
-// all reps see the same EDB.
+// ivmMeasure runs the sweep on TC over rmat-512: per delta size,
+// interleaved A/B reps of (apply batch, refresh) on a maintained view
+// versus a crossover-disabled twin whose every refresh is a full
+// recompute, each rep rolled back by the inverted batch so all reps
+// see the same EDB.
 func ivmMeasure(cfg Config, reps int) []ivmMeasurement {
 	cfg = cfg.withDefaults()
 	edges := datasets.RMATn(cfg.scaled(512), cfg.Seed)
@@ -181,33 +181,4 @@ func IvmReport(cfg Config) *Table {
 		})
 	}
 	return t
-}
-
-// ivmPoints renders the sweep as trajectory points: one per delta size
-// and arm, distinguished by Note.
-func ivmPoints(cfg Config) []BenchPoint {
-	cfg = cfg.withDefaults()
-	var points []BenchPoint
-	for _, m := range ivmMeasure(cfg, 5) {
-		points = append(points,
-			BenchPoint{
-				Query:          "TC-IVM",
-				Dataset:        "rmat-512",
-				Workers:        cfg.Workers,
-				Seconds:        float64(m.incrNS) / 1e9,
-				Note:           fmt.Sprintf("delta=%s mode=%s", m.cell.label, m.mode),
-				IvmRefreshNS:   m.incrNS,
-				IvmDeltaTuples: m.deltaTuples,
-			},
-			BenchPoint{
-				Query:        "TC-IVM",
-				Dataset:      "rmat-512",
-				Workers:      cfg.Workers,
-				Seconds:      float64(m.fullNS) / 1e9,
-				Note:         fmt.Sprintf("delta=%s mode=recompute", m.cell.label),
-				IvmRefreshNS: m.fullNS,
-			},
-		)
-	}
-	return points
 }

@@ -274,7 +274,7 @@ func runStratum(ctx context.Context, si int, prog *physical.Program, st *physica
 		n:     n,
 		det:   coord.NewDetector(n),
 		bar:   coord.NewBarrier(n),
-		clock: coord.NewClock(n, opts.Slack),
+		clock: coord.NewClock(n, sspSlack),
 		clk:   coord.NewCoarseClock(),
 		types: make(map[string][]storage.Type),
 		rc:    rc,
@@ -282,14 +282,6 @@ func runStratum(ctx context.Context, si int, prog *physical.Program, st *physica
 	rc.register(run.bar)
 	begin := time.Now()
 
-	// Recycle rings only need to hold frames awaiting reuse, not the
-	// full data-ring backlog; overflow drops to the GC, so a small ring
-	// keeps steady-state reuse while not doubling the n² ring memory
-	// zeroed at every stratum start.
-	recycleCap := opts.QueueCap / 16
-	if recycleCap < 64 {
-		recycleCap = 64
-	}
 	run.queues = make([][]*spsc.Queue[*frame], n)
 	run.inboxes = make([]*coord.Inbox, n)
 	run.recycle = make([][]*spsc.Queue[*frame], n)
@@ -299,7 +291,7 @@ func runStratum(ctx context.Context, si int, prog *physical.Program, st *physica
 		run.recycle[i] = make([]*spsc.Queue[*frame], n)
 		for j := range run.queues[i] {
 			if i != j {
-				run.queues[i][j] = spsc.New[*frame](opts.QueueCap)
+				run.queues[i][j] = spsc.New[*frame](queueCap)
 				run.recycle[i][j] = spsc.New[*frame](recycleCap)
 			}
 		}

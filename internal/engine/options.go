@@ -8,6 +8,23 @@ import (
 	"repro/internal/storage"
 )
 
+// Exchange constants.
+const (
+	// sspSlack is the SSP staleness bound s (the paper's value).
+	sspSlack = 5
+	// maxWait caps the DWS wait budget τ and doubles as the
+	// deadlock-avoidance timeout of Algorithm 2.
+	maxWait = 2 * time.Millisecond
+	// queueCap is the capacity (messages) of each SPSC data ring.
+	queueCap = 4096
+	// recycleCap is the capacity of each frame-recycle ring. Recycle
+	// rings only hold frames awaiting reuse, not the full data-ring
+	// backlog; overflow drops to the GC, so a small ring keeps
+	// steady-state reuse while not doubling the n² ring memory zeroed
+	// at every stratum start.
+	recycleCap = queueCap / 16
+)
+
 // Options configures a parallel evaluation run.
 type Options struct {
 	// Workers is the number of parallel workers (goroutines); 0 uses
@@ -15,15 +32,8 @@ type Options struct {
 	Workers int
 	// Strategy selects the coordination scheme (Global / SSP / DWS).
 	Strategy coord.Kind
-	// Slack is the SSP staleness bound s (paper uses 5).
-	Slack int
-	// MaxWait caps the DWS wait budget τ and doubles as the
-	// deadlock-avoidance timeout of Algorithm 2.
-	MaxWait time.Duration
 	// BatchSize is the number of tuples per exchanged message.
 	BatchSize int
-	// QueueCap is the capacity (messages) of each SPSC ring.
-	QueueCap int
 	// Epsilon is the convergence threshold for float sum aggregates
 	// (PageRank); changes at or below it do not re-enter the delta.
 	Epsilon float64
@@ -69,17 +79,8 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Slack <= 0 {
-		o.Slack = 5
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
-	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 256
-	}
-	if o.QueueCap <= 0 {
-		o.QueueCap = 4096
 	}
 	if o.Epsilon == 0 {
 		o.Epsilon = 1e-9

@@ -404,7 +404,7 @@ func (w *worker) park() bool {
 // timeout.
 func (w *worker) dwsGate(total int) {
 	lambda, sigmaA2 := queueing.Combine(w.arrivals)
-	d := queueing.Decide(lambda, sigmaA2, w.service.Mu(), w.service.SigmaS2(), w.run.opts.MaxWait.Seconds())
+	d := queueing.Decide(lambda, sigmaA2, w.service.Mu(), w.service.SigmaS2(), maxWait.Seconds())
 	if d.Omega <= 0 || total >= d.Omega {
 		return
 	}

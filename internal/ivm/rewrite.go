@@ -21,7 +21,6 @@ package ivm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/ast"
@@ -60,8 +59,12 @@ type sliceSpec struct {
 // deltaProgram is one generated program plus the bookkeeping the
 // refresh needs around it.
 type deltaProgram struct {
-	Source string
-	Slices []sliceSpec
+	Program *ast.Program
+	// Schemas holds the program's synthetic EDB relations, each under
+	// its synthetic name; they compile alongside the view's own EDB
+	// schemas.
+	Schemas map[string]*storage.Schema
+	Slices  []sliceSpec
 	// Deltas maps each synthetic delta predicate to the original
 	// predicate whose change set it computes.
 	Deltas map[string]string
@@ -114,23 +117,11 @@ func ineligible(a *pcg.Analysis) string {
 	return ""
 }
 
-// typeName renders a storage type as its declaration spelling.
-func typeName(t storage.Type) string {
-	switch t {
-	case storage.TFloat:
-		return "float"
-	case storage.TSym:
-		return "sym"
-	default:
-		return "int"
-	}
-}
-
 // progBuilder accumulates one generated program: rules, synthetic EDB
-// declarations, slice specs, and the delta-predicate map.
+// schemas, slice specs, and the delta-predicate map.
 type progBuilder struct {
 	a       *pcg.Analysis
-	decls   map[string]*storage.Schema
+	schemas map[string]*storage.Schema
 	rules   []*ast.Rule
 	slices  []sliceSpec
 	sliceIx map[string]int
@@ -140,7 +131,7 @@ type progBuilder struct {
 func newProgBuilder(a *pcg.Analysis) *progBuilder {
 	return &progBuilder{
 		a:       a,
-		decls:   make(map[string]*storage.Schema),
+		schemas: make(map[string]*storage.Schema),
 		sliceIx: make(map[string]int),
 		deltas:  make(map[string]string),
 	}
@@ -148,8 +139,8 @@ func newProgBuilder(a *pcg.Analysis) *progBuilder {
 
 // declare records a synthetic EDB relation carrying pred's schema.
 func (b *progBuilder) declare(name, pred string) {
-	if _, ok := b.decls[name]; !ok {
-		b.decls[name] = b.a.Schemas[pred]
+	if _, ok := b.schemas[name]; !ok {
+		b.schemas[name] = storage.NewSchema(name, b.a.Schemas[pred].Cols...)
 	}
 }
 
@@ -172,7 +163,7 @@ func (b *progBuilder) delta(deltaName, pred string) {
 	b.deltas[deltaName] = pred
 }
 
-// finish renders the program. Delta predicates that were referenced but
+// finish returns the program. Delta predicates that were referenced but
 // never defined by a rule (a predicate whose only rules are facts, say)
 // are declared as empty EDB relations so the program still compiles.
 func (b *progBuilder) finish() *deltaProgram {
@@ -187,30 +178,12 @@ func (b *progBuilder) finish() *deltaProgram {
 			}
 		}
 	}
-	names := make([]string, 0, len(b.decls))
-	for name := range b.decls {
-		names = append(names, name)
+	return &deltaProgram{
+		Program: &ast.Program{Rules: b.rules},
+		Schemas: b.schemas,
+		Slices:  b.slices,
+		Deltas:  b.deltas,
 	}
-	sort.Strings(names)
-	var src strings.Builder
-	for _, name := range names {
-		sch := b.decls[name]
-		src.WriteString(".decl ")
-		src.WriteString(name)
-		src.WriteByte('(')
-		for i := 0; i < sch.Arity(); i++ {
-			if i > 0 {
-				src.WriteString(", ")
-			}
-			fmt.Fprintf(&src, "c%d:%s", i, typeName(sch.ColType(i)))
-		}
-		src.WriteString(")\n")
-	}
-	for _, r := range b.rules {
-		src.WriteString(r.String())
-		src.WriteByte('\n')
-	}
-	return &deltaProgram{Source: src.String(), Slices: b.slices, Deltas: b.deltas}
 }
 
 func mkAtom(pred string, args []ast.Term) *ast.Atom {

@@ -51,6 +51,7 @@ func TestRewriteTC(t *testing.T) {
 		t.Fatalf("tc should be eligible, got %q", reason)
 	}
 	rw := buildRewrite(a)
+	ins, del, red := rw.Ins.Program.String(), rw.Del.Program.String(), rw.Red.Program.String()
 
 	wantIns := []string{
 		"tc__ivmd(X, Y) :- arc__ivmins(X, Y), !tc__ivmlive(X, Y).",
@@ -58,8 +59,8 @@ func TestRewriteTC(t *testing.T) {
 		"tc__ivmd(X, Y) :- tc__ivmd(X, Z), arc(Z, Y), !tc__ivmlive(X, Y).",
 	}
 	for _, w := range wantIns {
-		if !strings.Contains(rw.Ins.Source, w) {
-			t.Errorf("ins program missing %q:\n%s", w, rw.Ins.Source)
+		if !strings.Contains(ins, w) {
+			t.Errorf("ins program missing %q:\n%s", w, ins)
 		}
 	}
 	// Exactly one slice: old tc anchored on its second column joining
@@ -83,8 +84,8 @@ func TestRewriteTC(t *testing.T) {
 		"tc__ivmdel(X, Y) :- tc__ivmdel(X, Z), arc__ivmold(Z, Y), !arc__ivmnew(X, Y).",
 	}
 	for _, w := range wantDel {
-		if !strings.Contains(rw.Del.Source, w) {
-			t.Errorf("del program missing %q:\n%s", w, rw.Del.Source)
+		if !strings.Contains(del, w) {
+			t.Errorf("del program missing %q:\n%s", w, del)
 		}
 	}
 
@@ -94,8 +95,8 @@ func TestRewriteTC(t *testing.T) {
 		"tc__ivmred(X, Y) :- tc__ivmdelset(X, Y), tc__ivmred(X, Z), arc__ivmnew(Z, Y).",
 	}
 	for _, w := range wantRed {
-		if !strings.Contains(rw.Red.Source, w) {
-			t.Errorf("red program missing %q:\n%s", w, rw.Red.Source)
+		if !strings.Contains(red, w) {
+			t.Errorf("red program missing %q:\n%s", w, red)
 		}
 	}
 	// The kept-fixpoint slice anchors on the shared head variable X.
@@ -106,12 +107,10 @@ func TestRewriteTC(t *testing.T) {
 	}
 
 	// Each generated program must itself compile.
-	syms := storage.NewSymbolTable()
-	for name, src := range map[string]string{
-		"ins": rw.Ins.Source, "del": rw.Del.Source, "red": rw.Red.Source,
-	} {
-		if _, _, err := compileText(src, tcSchemas(), nil, syms); err != nil {
-			t.Errorf("%s program does not compile: %v\n%s", name, err, src)
+	cfg := Config{Schemas: tcSchemas(), Syms: storage.NewSymbolTable()}
+	for name, dp := range map[string]*deltaProgram{"ins": rw.Ins, "del": rw.Del, "red": rw.Red} {
+		if _, err := dp.compile(cfg); err != nil {
+			t.Errorf("%s program does not compile: %v\n%s", name, err, dp.Program)
 		}
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/ast"
 	"repro/internal/engine"
 	"repro/internal/parser"
 	"repro/internal/pcg"
@@ -133,12 +135,9 @@ type View struct {
 	stats   Stats
 }
 
-// compileText compiles one program text against the view's schemas.
-func compileText(src string, schemas map[string]*storage.Schema, params map[string]physical.Param, syms *storage.SymbolTable) (*physical.Program, *pcg.Analysis, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
+// compileProgram analyzes, plans and compiles one program against the
+// given EDB schemas.
+func compileProgram(prog *ast.Program, schemas map[string]*storage.Schema, params map[string]physical.Param, syms *storage.SymbolTable) (*physical.Program, *pcg.Analysis, error) {
 	pt := make(map[string]storage.Type, len(params))
 	for k, p := range params {
 		pt[k] = p.Type
@@ -158,6 +157,15 @@ func compileText(src string, schemas map[string]*storage.Schema, params map[stri
 	return phys, a, nil
 }
 
+// compile compiles a delta program against the view's EDB schemas plus
+// the program's own synthetic ones.
+func (d *deltaProgram) compile(cfg Config) (*physical.Program, error) {
+	schemas := maps.Clone(cfg.Schemas)
+	maps.Copy(schemas, d.Schemas)
+	phys, _, err := compileProgram(d.Program, schemas, cfg.Params, cfg.Syms)
+	return phys, err
+}
+
 // New compiles the view's programs and materializes the initial
 // fixpoint from the given EDB contents (tuples are deduplicated into
 // multiset mirrors; duplicates count as multiplicity).
@@ -165,7 +173,11 @@ func New(ctx context.Context, cfg Config, edb map[string][]storage.Tuple) (*View
 	if cfg.Syms == nil {
 		cfg.Syms = storage.NewSymbolTable()
 	}
-	full, a, err := compileText(cfg.Source, cfg.Schemas, cfg.Params, cfg.Syms)
+	prog, err := parser.Parse(cfg.Source)
+	if err != nil {
+		return nil, fmt.Errorf("ivm: compile %s: %w", cfg.Name, err)
+	}
+	full, a, err := compileProgram(prog, cfg.Schemas, cfg.Params, cfg.Syms)
 	if err != nil {
 		return nil, fmt.Errorf("ivm: compile %s: %w", cfg.Name, err)
 	}
@@ -185,13 +197,13 @@ func New(ctx context.Context, cfg Config, edb map[string][]storage.Tuple) (*View
 	v.reason = ineligible(a)
 	if v.reason == "" {
 		v.rw = buildRewrite(a)
-		if v.insProg, _, err = compileText(v.rw.Ins.Source, cfg.Schemas, cfg.Params, cfg.Syms); err != nil {
+		if v.insProg, err = v.rw.Ins.compile(cfg); err != nil {
 			return nil, fmt.Errorf("ivm: compile insert program for %s: %w", cfg.Name, err)
 		}
-		if v.delProg, _, err = compileText(v.rw.Del.Source, cfg.Schemas, cfg.Params, cfg.Syms); err != nil {
+		if v.delProg, err = v.rw.Del.compile(cfg); err != nil {
 			return nil, fmt.Errorf("ivm: compile delete program for %s: %w", cfg.Name, err)
 		}
-		if v.redProg, _, err = compileText(v.rw.Red.Source, cfg.Schemas, cfg.Params, cfg.Syms); err != nil {
+		if v.redProg, err = v.rw.Red.compile(cfg); err != nil {
 			return nil, fmt.Errorf("ivm: compile rederive program for %s: %w", cfg.Name, err)
 		}
 	}

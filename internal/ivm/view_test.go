@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/engine"
+	"repro/internal/parser"
 	"repro/internal/storage"
 )
 
@@ -24,7 +25,7 @@ func rows(ts []storage.Tuple) []string {
 // coldFixpoint recomputes the fixpoint from scratch for comparison.
 func coldFixpoint(t testing.TB, cfg Config, edb map[string][]storage.Tuple, pred string) []string {
 	t.Helper()
-	prog, _, err := compileText(cfg.Source, cfg.Schemas, cfg.Params, cfg.Syms)
+	prog, _, err := compileProgram(parser.MustParse(cfg.Source), cfg.Schemas, cfg.Params, cfg.Syms)
 	if err != nil {
 		t.Fatalf("cold compile: %v", err)
 	}

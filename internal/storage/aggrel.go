@@ -86,10 +86,10 @@ func (r *AggRelation) Kind() AggKind { return r.kind }
 // with non-monotone float sums (PageRank) use this to converge.
 func (r *AggRelation) SetEpsilon(eps float64) { r.eps = eps }
 
-// Schema implements Relation.
+// Schema returns the relation's typed shape.
 func (r *AggRelation) Schema() *Schema { return r.schema }
 
-// Len implements Relation.
+// Len reports the number of groups held.
 func (r *AggRelation) Len() int { return len(r.groups) }
 
 // lookup finds the group index for a key, or -1.
@@ -198,7 +198,7 @@ func (r *AggRelation) Merge(key []Value, v Value, contributor Value) (bool, Valu
 	}
 }
 
-// Insert implements Relation by splitting the tuple into key and value.
+// Insert merges a tuple by splitting it into key and value.
 // The contributor defaults to the aggregate value itself, which gives
 // correct semantics when loading materialized rows.
 func (r *AggRelation) Insert(t Tuple) bool {
@@ -223,7 +223,8 @@ func (r *AggRelation) Contains(t Tuple) bool {
 	}
 }
 
-// ForEach implements Relation, materializing each group as key+value.
+// ForEach visits every group, materialized as key+value, until fn
+// returns false.
 func (r *AggRelation) ForEach(fn func(Tuple) bool) {
 	row := make(Tuple, r.keyLen+1)
 	for i := range r.groups {
@@ -236,7 +237,8 @@ func (r *AggRelation) ForEach(fn func(Tuple) bool) {
 	}
 }
 
-// Snapshot implements Relation; rows are freshly materialized.
+// Snapshot returns every group as a freshly materialized key+value
+// row.
 func (r *AggRelation) Snapshot() []Tuple {
 	out := make([]Tuple, 0, len(r.groups))
 	for i := range r.groups {

@@ -6,27 +6,6 @@ import (
 	"repro/internal/prefetch"
 )
 
-// Relation is the common surface of the two tuple containers used during
-// semi-naive evaluation: deduplicating set relations and keyed aggregate
-// relations.
-type Relation interface {
-	// Schema returns the relation's typed shape.
-	Schema() *Schema
-	// Len reports the number of (distinct) tuples currently held.
-	Len() int
-	// Insert adds a tuple, reporting whether the relation changed.
-	Insert(t Tuple) bool
-	// Contains reports whether the tuple (for sets: exactly; for
-	// aggregates: its group key with a value at least as good) is
-	// already represented.
-	Contains(t Tuple) bool
-	// ForEach visits every current tuple until fn returns false.
-	ForEach(fn func(Tuple) bool)
-	// Snapshot returns the current tuples. The result must not be
-	// mutated.
-	Snapshot() []Tuple
-}
-
 // SetRelation is a deduplicating tuple set with insertion-ordered
 // iteration. It backs recursive predicates with set semantics such as
 // tc and sg.
@@ -83,10 +62,10 @@ func newSlotTable(n int) []setSlot {
 	return t
 }
 
-// Schema implements Relation.
+// Schema returns the relation's typed shape.
 func (r *SetRelation) Schema() *Schema { return r.schema }
 
-// Len implements Relation.
+// Len reports the number of distinct tuples held.
 func (r *SetRelation) Len() int { return len(r.views) }
 
 // Insert adds t if absent and reports whether it was new. The tuple is
@@ -154,7 +133,7 @@ func (r *SetRelation) grow() {
 	r.mask = mask
 }
 
-// Contains implements Relation.
+// Contains reports whether t is in the set.
 func (r *SetRelation) Contains(t Tuple) bool {
 	return r.ContainsHashed(t.Hash(), t)
 }
@@ -178,7 +157,8 @@ func (r *SetRelation) ContainsHashed(h uint64, t Tuple) bool {
 // header is reconstructed from the packed ref — no allocation.
 func (r *SetRelation) At(i int) Tuple { return r.arena.tuple(r.views[i], r.width) }
 
-// ForEach implements Relation.
+// ForEach visits every tuple in insertion order until fn returns
+// false.
 func (r *SetRelation) ForEach(fn func(Tuple) bool) {
 	for _, ref := range r.views {
 		if !fn(r.arena.tuple(ref, r.width)) {
@@ -187,7 +167,7 @@ func (r *SetRelation) ForEach(fn func(Tuple) bool) {
 	}
 }
 
-// Snapshot implements Relation. The returned tuples alias the
+// Snapshot returns the current tuples. The returned tuples alias the
 // relation's arena, whose chunks are never moved or reused: a snapshot
 // taken at any point stays valid — same length, same contents — no
 // matter how many inserts (including table growth and new arena
